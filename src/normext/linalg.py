@@ -10,27 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, sc_fms, sc_mul
+from .scalars import sc_fms
 
 
 class ResourceLimitError(RuntimeError):
     pass
-
-
-def row_scale(row: dict, c: Scalar) -> dict:
-    return {k: v * c for k, v in row.items()}
-
-
-def row_submul(row: dict, c: Scalar, other: dict) -> dict:
-    """row - c*other, dropping cancelled entries."""
-    out = dict(row)
-    for k, v in other.items():
-        nv = sc_fms(out.get(k), c, v)
-        if nv is None:
-            out.pop(k, None)
-        else:
-            out[k] = nv
-    return out
 
 
 class RowReducer:
@@ -108,23 +92,6 @@ def rank_of_rows(rows) -> int:
     return red.rank
 
 
-def span_equal(rows_a, rows_b) -> bool:
-    ra = RowReducer()
-    for r in rows_a:
-        ra.insert(r)
-    rb = RowReducer()
-    for r in rows_b:
-        rb.insert(r)
-    if ra.rank != rb.rank:
-        return False
-    return all(ra.contains(r) for r in rb.rows()) and all(rb.contains(r) for r in ra.rows())
-
-
-def kernel_dim(rows) -> int:
-    """Dimension of {x : sum_i x_i row_i = 0} for the given row list."""
-    return len(list(rows)) - rank_of_rows(rows)
-
-
 def solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]):
     """One solution of mat*x = rhs over Q, or None; mat is dense rows."""
     rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(mat, rhs)]
@@ -150,38 +117,6 @@ def solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]):
             s -= prow[j] * x[j]
         x[col] = s
     return x
-
-
-def rational_kernel_basis(mat: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x in Q^ncols : mat*x = 0}; mat given as dense rows."""
-    rows = [list(map(Fraction, r)) for r in mat]
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        for col, prow in pivots:
-            if row[col]:
-                f = row[col]
-                for j in range(ncols):
-                    row[j] -= f * prow[j]
-        lead = next((j for j in range(ncols) if row[j]), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        pivots.append((lead, [v * inv for v in row]))
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for col, prow in reversed(pivots):
-            s = -prow[free] if free > col else Fraction(0)
-            for j in range(col + 1, ncols):
-                if j != free and prow[j]:
-                    s -= prow[j] * vec[j]
-            vec[col] = s
-        basis.append(vec)
-    return basis
 
 
 def diagonalize_integer_matrix(a: list[list[int]]):

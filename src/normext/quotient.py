@@ -5,9 +5,12 @@ membership:
 
 * ``LinearEngine`` (this module) -- exact sparse row reduction over
   Q(zeta_N).  The degree-d ideal component is built incrementally as
-  V * I_{d-1} + sum_r r * T_{d - deg r}; the first summand arrives
+  V * I_{d-1} + sum_r r * S_{d - deg r}, where S_k is spanned by the
+  standard words of degree k (those that are not pivots of I_k); the rest
+  of r * T_k already lies in V * I_{d-1}.  The first summand arrives
   pre-echelonized (prefixing a fixed letter preserves deglex among
-  same-degree words), so only the relation-tail rows need reduction.
+  same-degree words), so only the relation-tail rows need reduction, and
+  there are |R| * dim A_k of them instead of |R| * n^k.
 * ``GBState`` (rewriting module) -- truncated noncommutative Buchberger
   completion with normal-word counting.
 
@@ -165,12 +168,23 @@ class LinearEngine:
         self.entry_limit = entry_limit
 
     def _relation_rows(self, d: int):
-        """Rows r * v for each relation r and word v of degree d - deg r."""
+        """Rows r * v for each relation r and standard word v of degree
+        k = d - deg r, in increasing order of v.
+
+        A word v that is a pivot of level k is skipped: modulo I_k it is a
+        combination of smaller words, and writing r = sum_i x_i r'_i gives
+        r * I_k in V * I_{d-1}, which is already inserted.  So r * v lies in
+        the span of the rows inserted before it and would reduce to zero;
+        skipping it changes neither the span nor any pivot row.
+        """
         n = self.pres.ctx.n
         for r in self.pres.relations:
             k = d - r.degree
             if k < 0:
                 continue
+            # k == d only for a degree-0 relation, whose level is being built
+            nonstandard = self.levels[k].pivots if k < d else {}
+            off_k = self.codec.offset(k)
             base = [(self.codec.encode(u), c) for u, c in sorted(r.terms.items(), key=lambda t: word_key(t[0]))]
             # appending v of degree k maps code(u) -> (code(u)-off(du))*n^k + off(du+k) + rank(v)
             du = r.degree
@@ -178,7 +192,8 @@ class LinearEngine:
             off_t = self.codec.offset(du + k)
             scaled = [((code - off_u) * n**k + off_t, c) for code, c in base]
             for rank_v in range(n**k):
-                yield {code + rank_v: c for code, c in scaled}
+                if off_k + rank_v not in nonstandard:
+                    yield {code + rank_v: c for code, c in scaled}
 
     def extend(self, bound: int) -> None:
         n = self.pres.ctx.n

@@ -2,9 +2,14 @@
 
 Two coefficient domains coexist:
 
-* ``Scalar`` -- an element of Q(zeta_N), stored as a rational coefficient
-  vector over the power basis 1, z, ..., z^(d-1) where d = deg Phi_N.  All
-  linear algebra in the package runs over these.
+* ``Scalar`` -- an element of Q(zeta_N), stored as integer coefficients
+  over the power basis 1, z, ..., z^(d-1) (d = deg Phi_N) and one positive
+  common denominator, in lowest terms.  All linear algebra in the package
+  runs over these.  Sums, differences, products and the elimination step
+  ``sc_fms`` (a - c*b) work on Python integers only: products share one
+  convolution, reduced mod Phi_N through a table of z^k mod Phi_N, which
+  has integer entries because Phi_N is monic.  No Fraction is built on
+  these paths; the inverse, needed once per pivot, still runs over Q.
 * ``UnitScalar`` -- an element of the divisible abelian group
   (Q/Z) + Q^k, written multiplicatively as e^(2*pi*i*r) * prod params^a_j.
   The good-tuple equations are purely multiplicative, so this group is
@@ -18,7 +23,7 @@ from the units it is defined on into Q(zeta_N)*.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # Conductor ceiling for promotions and exponent-denominator ceiling for
 # units.  Both are soft limits: breaching them raises instead of degrading.
@@ -75,61 +80,118 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return result
 
 
-_RED_CACHE: dict[int, list[tuple[Fraction, ...]]] = {}
+def _degree(n: int) -> int:
+    """d = deg Phi_n, the length of every coefficient vector at conductor n."""
+    return len(cyclotomic_poly(n)) - 1
 
 
-def _reduction_table(n: int, upto: int) -> list[tuple[Fraction, ...]]:
-    """Vectors of z^k mod Phi_n for k in 0..upto-1."""
+_FOLD_CACHE: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+
+
+def _fold_table(n: int, upto: int) -> list[tuple[tuple[int, int], ...]]:
+    """z^k mod Phi_n for k in 0..upto-1, as sparse (index, coefficient) pairs.
+
+    Phi_n is monic, so every z^k reduces to a vector of integers.
+    """
+    rows = _FOLD_CACHE.setdefault(n, [])
+    if len(rows) >= upto:
+        return rows
     phi = cyclotomic_poly(n)
     d = len(phi) - 1
-    rows = _RED_CACHE.setdefault(n, [])
     while len(rows) < upto:
         k = len(rows)
+        vec = [0] * d
         if k < d:
-            vec = [Fraction(0)] * d
-            vec[k] = Fraction(1)
-            rows.append(tuple(vec))
+            vec[k] = 1
         else:
-            # z^(k) = z * z^(k-1), folding z^d = -(phi_0 + ... + phi_{d-1} z^{d-1}).
-            cur = rows[k - 1]
-            top = cur[d - 1]
-            nxt = [Fraction(0)] + list(cur[: d - 1])
+            # z^k = z * z^(k-1), folding z^d = -(phi_0 + ... + phi_{d-1} z^{d-1}).
+            prev = [0] * d
+            for j, t in rows[k - 1]:
+                prev[j] = t
+            top = prev[d - 1]
+            vec[1:] = prev[: d - 1]
             if top:
                 for j in range(d):
-                    nxt[j] -= top * phi[j]
-            rows.append(tuple(nxt))
+                    vec[j] -= top * phi[j]
+        rows.append(tuple((j, t) for j, t in enumerate(vec) if t))
     return rows
 
 
+def _fold(n: int, vec: list[int], d: int) -> list[int]:
+    """Integer coefficients of sum_k vec[k] z^k mod Phi_n, padded to length d."""
+    if len(vec) <= d:
+        return vec + [0] * (d - len(vec))
+    table = _fold_table(n, len(vec))
+    out = vec[:d]
+    for k, v in enumerate(vec[d:], d):
+        if v:
+            for j, t in table[k]:
+                out[j] += v * t
+    return out
+
+
+def _convolve(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
+    """Integer numerator of a product in Q(zeta_n): the one convolution."""
+    d = len(x)
+    if d == 1:
+        return [x[0] * y[0]]
+    conv = [0] * (2 * d - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for k, yj in enumerate(y, i):
+                conv[k] += xi * yj
+    return _fold(n, conv, d)
+
+
+def _difference(xn, xd: int, yn, yd: int) -> tuple[list[int], int]:
+    """Numerators and denominator of xn/xd - yn/yd over lcm(xd, yd)."""
+    if xd == yd:
+        return [x - y for x, y in zip(xn, yn)], xd
+    g = gcd(xd, yd)
+    fx, fy = yd // g, xd // g
+    return [x * fx - y * fy for x, y in zip(xn, yn)], xd * fx
+
+
+def _lowest(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num/den (den > 0) in lowest terms: gcd(den, *num) == 1."""
+    g = gcd(den, *num)
+    if g != 1:
+        return tuple([v // g for v in num]), den // g
+    return tuple(num), den
+
+
+def _make(n: int, num: list[int], den: int) -> "Scalar":
+    """A Scalar from numerators reduced mod Phi_n over den > 0."""
+    s = Scalar.__new__(Scalar)
+    s.n = n
+    s.num, s.den = _lowest(num, den)
+    return s
+
+
 class Scalar:
-    """Element of Q(zeta_N) in canonical (reduced, lowest-terms) form."""
+    """Element of Q(zeta_N) in canonical form.
 
-    __slots__ = ("n", "c")
+    ``num`` holds d = deg Phi_N integer coefficients over the power basis
+    1, z, ..., z^(d-1), all over the one denominator ``den``.  The form is
+    canonical: den > 0 and gcd(den, *num) == 1, so zero is (0, ..., 0)/1
+    and two scalars of one conductor are equal exactly when their parts
+    are.  ``c`` is the same vector as rationals, for printing.
+    """
 
-    @staticmethod
-    def _raw(n: int, coeffs: tuple) -> "Scalar":
-        s = Scalar.__new__(Scalar)
-        s.n = n
-        s.c = coeffs
-        return s
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs) -> None:
-        d = len(cyclotomic_poly(n)) - 1
-        c = list(coeffs)
-        if len(c) > d:
-            table = _reduction_table(n, len(c))
-            folded = [Fraction(0)] * d
-            for k, v in enumerate(c):
-                if v:
-                    row = table[k]
-                    for j in range(d):
-                        if row[j]:
-                            folded[j] += v * row[j]
-            c = folded
-        else:
-            c = [Fraction(v) for v in c] + [Fraction(0)] * (d - len(c))
+        fr = [Fraction(v) for v in coeffs]
+        den = lcm(*(f.denominator for f in fr))
+        num = _fold(n, [f.numerator * (den // f.denominator) for f in fr], _degree(n))
         self.n = n
-        self.c = tuple(Fraction(v) for v in c)
+        self.num, self.den = _lowest(num, den)
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The coefficients over 1, z, ..., z^(d-1) as Fractions (read-only)."""
+        den = self.den
+        return tuple([Fraction(v, den) for v in self.num])
 
     # -- constructors -------------------------------------------------
 
@@ -143,15 +205,13 @@ class Scalar:
 
     @staticmethod
     def one(n: int = 1) -> "Scalar":
-        return Scalar(n, [Fraction(1)])
+        return Scalar(n, [1])
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Scalar":
         """zeta_n^k."""
         k %= n
-        vec = [Fraction(0)] * (k + 1)
-        vec[k] = Fraction(1)
-        return Scalar(n, vec)
+        return Scalar(n, [0] * k + [1])
 
     # -- conductor handling -------------------------------------------
 
@@ -163,12 +223,9 @@ class Scalar:
         if n > MAX_CONDUCTOR:
             raise ConductorLimitError(f"conductor {n} exceeds limit {MAX_CONDUCTOR}")
         step = n // self.n
-        d = len(cyclotomic_poly(n)) - 1
-        vec = [Fraction(0)] * ((len(self.c) - 1) * step + 1 or 1)
-        for k, v in enumerate(self.c):
-            if v:
-                vec[k * step] += v
-        return Scalar(n, vec)
+        vec = [0] * ((len(self.num) - 1) * step + 1)
+        vec[::step] = self.num
+        return _make(n, _fold(n, vec, _degree(n)), self.den)
 
     @staticmethod
     def common(a: "Scalar", b: "Scalar") -> tuple["Scalar", "Scalar"]:
@@ -181,35 +238,27 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         a, b = Scalar.common(self, other)
-        return Scalar(a.n, [x + y for x, y in zip(a.c, b.c)])
+        return _make(a.n, *_difference(a.num, a.den, [-v for v in b.num], b.den))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         a, b = Scalar.common(self, other)
-        return Scalar(a.n, [x - y for x, y in zip(a.c, b.c)])
+        return _make(a.n, *_difference(a.num, a.den, b.num, b.den))
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.n, [-x for x in self.c])
+        return _make(self.n, [-v for v in self.num], self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b = Scalar.common(self, other)
-        d = len(a.c)
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.c):
-            if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        conv[i + j] += x * y
-        return Scalar(a.n, conv)
+        return _make(a.n, _convolve(a.n, a.num, b.num), a.den * b.den)
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse via extended Euclid against Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         phi = [Fraction(v) for v in cyclotomic_poly(self.n)]
-        # Extended gcd of self (as poly) and phi over Q[x].
-        r0, r1 = phi, list(self.c)
+        # Extended gcd of the numerator (as poly) and phi over Q[x].
+        r0, r1 = phi, [Fraction(v) for v in self.num]
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0 = [Fraction(1)]
 
         def deg(p):
             for i in range(len(p) - 1, -1, -1):
@@ -243,8 +292,8 @@ class Scalar:
         d1 = deg(r1)
         if d1 < 0:
             raise ZeroDivisionError("scalar is a zero divisor (defect)")
-        lead = r1[d1]
-        return Scalar(self.n, [v / lead for v in s1])
+        scale = self.den / r1[d1]
+        return Scalar(self.n, [v * scale for v in s1])
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -264,21 +313,21 @@ class Scalar:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.c)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.c[0] == 1 and all(v == 0 for v in self.c[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def as_rational(self) -> Fraction | None:
-        if all(v == 0 for v in self.c[1:]):
-            return self.c[0]
+        if not any(self.num[1:]):
+            return Fraction(self.num[0], self.den)
         return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
         a, b = Scalar.common(self, other)
-        return a.c == b.c
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # promotion-dependent representation; compare, don't hash
 
@@ -313,50 +362,15 @@ class Scalar:
         return f"Scalar(N={self.n}, {self})"
 
 
-_ZERO = Fraction(0)
-
-
-def _mul_vec(n: int, ca: tuple, cb: tuple) -> tuple:
-    """Product coefficient vector in Q(zeta_n), reduced mod Phi_n."""
-    d = len(ca)
-    if d == 1:
-        return (ca[0] * cb[0],)
-    conv = [_ZERO] * (2 * d - 1)
-    for i, x in enumerate(ca):
-        if x:
-            for j, y in enumerate(cb):
-                if y:
-                    conv[i + j] += x * y
-    if not any(conv[d:]):
-        return tuple(conv[:d])
-    table = _reduction_table(n, 2 * d - 1)
-    out = list(conv[:d])
-    for k in range(d, 2 * d - 1):
-        v = conv[k]
-        if v:
-            row = table[k]
-            for j in range(d):
-                if row[j]:
-                    out[j] += v * row[j]
-    return tuple(out)
-
-
-def sc_mul(a: Scalar, b: Scalar) -> Scalar:
-    """Fast product assuming equal conductors (hot path)."""
-    if a.n != b.n:
-        return a * b
-    return Scalar._raw(a.n, _mul_vec(a.n, a.c, b.c))
-
-
 def sc_fms(a: Scalar | None, c: Scalar, b: Scalar) -> Scalar | None:
-    """a - c*b with one allocation; None encodes zero (hot path)."""
-    prod = _mul_vec(c.n, c.c, b.c)
+    """a - c*b for c, b of one conductor; None encodes zero (hot path)."""
+    prod = _convolve(c.n, c.num, b.num)
     if a is None:
-        vec = tuple(-v for v in prod)
+        num, den = [-v for v in prod], c.den * b.den
     else:
-        vec = tuple(x - y for x, y in zip(a.c, prod))
-    if any(vec):
-        return Scalar._raw(c.n, vec)
+        num, den = _difference(a.num, a.den, prod, c.den * b.den)
+    if any(num):
+        return _make(c.n, num, den)
     return None
 
 

@@ -1,9 +1,11 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
 
-from conftest import random_element
+from conftest import field_instances, field_w, parse_tuple
+from normext.certify import build_extension
 from normext.dsl import parse_poly
 from normext.freealg import CoefficientModeError, Context, FreeElement
 from normext.linalg import ResourceLimitError
@@ -15,7 +17,7 @@ from normext.quotient import (
     membership,
     normal_form,
 )
-from normext.superpotential import cyclic_derivatives
+from normext.superpotential import Superpotential, cyclic_derivatives
 
 CTX = Context(("x", "y", "z"), 1)
 W_POLY = parse_poly("x*y*z + y*z*x + z*x*y - x*z*y - z*y*x - y*x*z", CTX)
@@ -141,3 +143,44 @@ def test_gb_state_is_deterministic():
     b = GBState(Presentation(CTX, RELS, label="poly3"), 6)
     assert a.leading_words() == b.leading_words()
     assert a.log == b.log
+
+
+class UnprunedEngine(LinearEngine):
+    """Reference engine that offers r * v for every word v, standard or not."""
+
+    def _relation_rows(self, d):
+        n = self.pres.ctx.n
+        for r in self.pres.relations:
+            if r.degree > d:
+                continue
+            for v in product(range(n), repeat=d - r.degree):  # increasing code
+                yield {self.codec.encode(u + v): c for u, c in r.terms.items()}
+
+
+def corpus_presentations(entries):
+    """(A, bound m+3) and (D, bound m+3) for every corpus entry, instance and bad tuple."""
+    out = []
+    for entry in sorted(entries.values(), key=lambda e: e.name):
+        sp = Superpotential(field_w(entry))
+        out.append((Presentation(sp.ctx, sp.f, label=f"A({entry.name})"), sp.m + 3))
+        specs = [(sp, ptext, int(k) - 1) for k, ptext in entry.expect.get("bad", {}).items()]
+        for k0, ptext, assign, _label in field_instances(entry):
+            specs.append((Superpotential(field_w(entry, assign)), ptext, k0))
+        for spk, ptext, k0 in specs:
+            spec = build_extension(spk, parse_tuple(ptext, entry.algebra.conductor), k0)
+            out.append((spec.D, spk.m + 3))
+    return out
+
+
+def test_standard_word_pruning_keeps_every_level(corpus_entries):
+    presentations = corpus_presentations(corpus_entries)
+    assert len(presentations) == 29
+    for pres, bound in presentations:
+        pruned, full = LinearEngine(pres), UnprunedEngine(pres)
+        pruned.extend(bound)
+        full.extend(bound)
+        for d in range(bound + 1):
+            got, want = pruned.levels[d], full.levels[d]
+            assert got.rank == want.rank, (pres.label, d)
+            assert set(got.pivots) == set(want.pivots), (pres.label, d)
+            assert got.pivots == want.pivots, (pres.label, d)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement, word_key
-from .linalg import RowReducer, rank_of_rows
-from .quotient import DegreeTable, Presentation, gb_engine, hilbert_table, linear_engine
+from .linalg import RowReducer
+from .quotient import Presentation, gb_engine, hilbert_table, membership
 from .superpotential import (
     DiagonalMap,
     NotEigenvectorError,
@@ -102,15 +102,10 @@ class ExtensionSpec:
 
     def _check_quotient_span(self) -> None:
         """Adding f_k to D's degree-m relations must give A's relation span."""
-        red_a = RowReducer()
-        for f in self.sp.f:
-            red_a.insert(dict(f.terms))
-        red_d = RowReducer()
-        for f in self.kept:
-            red_d.insert(dict(f.terms))
-        red_d.insert(dict(self.omega.terms))
+        red_a = RowReducer(f.terms for f in self.sp.f)
+        red_d = RowReducer(f.terms for f in self.kept + [self.omega])
         if red_a.rank != red_d.rank or not all(
-            red_a.contains(dict(f.terms)) for f in self.kept + [self.omega]
+            red_a.contains(f.terms) for f in self.kept + [self.omega]
         ):
             raise ResolutionDefect("D relations + Omega do not recover A's relation span")
 
@@ -223,22 +218,19 @@ def omega_certificate(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tu
     omega = spec.omega
     q = spec.sp.twist.scales
 
-    def member(f: FreeElement) -> bool:
-        if engine == "la":
-            return linear_engine(spec.D).membership(f)
-        return gb.normal_form(f).is_zero()
-
     normal_ok = True
     normal_witness = None
     for i in range(spec.n):
         coeff = spec.p[i] if i != spec.k else q[spec.k]
         el = xs[i] * omega - omega.scale(coeff) * xs[i]
-        if not member(el):
+        if not membership(el, spec.D, engine, bound):
             normal_ok = False
             normal_witness = ctx.gens[i]
             break
 
-    central = all(member(xs[i] * omega - omega * xs[i]) for i in range(spec.n))
+    central = all(
+        membership(xs[i] * omega - omega * xs[i], spec.D, engine, bound) for i in range(spec.n)
+    )
 
     right_kernels = []
     left_kernels = []
@@ -253,8 +245,8 @@ def omega_certificate(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tu
             img_l = gb.normal_form(omega * mono)
             rows_r.append({word_key(wd): c for wd, c in img_r.terms.items()})
             rows_l.append({word_key(wd): c for wd, c in img_l.terms.items()})
-        right_kernels.append(dim - rank_of_rows(rows_r))
-        left_kernels.append(dim - rank_of_rows(rows_l))
+        right_kernels.append(dim - RowReducer(rows_r).rank)
+        left_kernels.append(dim - RowReducer(rows_l).rank)
 
     regular = not any(right_kernels) and not any(left_kernels)
     diag = {
@@ -411,17 +403,10 @@ def resolution_certificate(
     m = spec.m
     gb = gb_engine(spec.D, bound)
 
-    def member(f: FreeElement) -> bool:
-        if f.is_zero():
-            return True
-        if engine == "la":
-            return linear_engine(spec.D).membership(f)
-        return gb.normal_form(f).is_zero()
-
     # (a) complex property: every entry of M_l M_r lies in the ideal
     bad_entries = []
     for a, b, ent in res.product_entries():
-        if not member(ent):
+        if not membership(ent, spec.D, engine, bound):
             bad_entries.append([res.perm[a] + 1, res.perm[b] + 1])
     complex_ok = not bad_entries
 
@@ -459,7 +444,7 @@ def resolution_certificate(
         rows3, dim3 = _graded_map_rows(gb, res.Ml, shifts_p3, shifts_p2, deg)
         rows2, dim2 = _graded_map_rows(gb, res.Mr, shifts_p2, shifts_p1, deg)
         rows1, dim1 = _graded_map_rows(gb, e10, shifts_p1, [0], deg)
-        r4, r3, r2, r1 = (rank_of_rows(r) for r in (rows4, rows3, rows2, rows1))
+        r4, r3, r2, r1 = (RowReducer(r).rank for r in (rows4, rows3, rows2, rows1))
         conds = {
             "P4_injective": r4 == dim4,
             "P3_exact": r4 + r3 == dim3,
@@ -508,9 +493,7 @@ def nakayama(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tuple[dict,
     for r in spec.D.relations:
         by_degree.setdefault(r.degree, []).append(r)
     for dgr, rels in sorted(by_degree.items()):
-        red = RowReducer()
-        for r in rels:
-            red.insert(dict(r.terms))
+        red = RowReducer(r.terms for r in rels)
         for r in rels:
             img = nu.apply(r)
             if not red.contains(dict(img.terms)):
@@ -528,16 +511,11 @@ def nakayama(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tuple[dict,
         fixes = False
 
     # tau conjugation: Omega x = tau(x) Omega holds in D
-    gb = gb_engine(spec.D, max(bound, spec.m + 1))
-
-    def member(f: FreeElement) -> bool:
-        if engine == "la":
-            return linear_engine(spec.D).membership(f)
-        return gb.normal_form(f).is_zero()
-
     xs = [FreeElement.gen(ctx, i) for i in range(spec.n)]
     tau_ok = all(
-        member(spec.omega * xs[i] - (xs[i] * spec.omega).scale(spec.p[i].inv()))
+        membership(
+            spec.omega * xs[i] - (xs[i] * spec.omega).scale(spec.p[i].inv()), spec.D, engine, bound
+        )
         for i in range(spec.n)
     )
 

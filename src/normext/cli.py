@@ -25,7 +25,6 @@ from .dsl import (
     AlgebraFile,
     DslError,
     parse_algebra_file,
-    parse_assignment_text,
     parse_scalar,
     parse_unit,
     print_poly,
@@ -34,7 +33,7 @@ from .family import flatness_probe, zhang_certificate
 from .freealg import AlgebraError, Context
 from .linalg import ResourceLimitError
 from .quotient import DegreeTable, Presentation, hilbert_table
-from .scalars import Assignment, ScalarError, SpecializeError, UnitScalar
+from .scalars import ScalarError, SpecializeError, UnitScalar
 from .superpotential import (
     DiagonalMap,
     Superpotential,
@@ -62,33 +61,14 @@ def default_corpus_path() -> Path:
 
 
 def _emit(obj, fmt: str = "json", tsv: str | None = None) -> None:
-    if fmt == "tsv" and tsv is not None:
+    if fmt == "tsv":
         sys.stdout.write(tsv)
     else:
         sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _merged_assignment(af: AlgebraFile, assign_text: str | None) -> Assignment | None:
-    values = dict(af.values)
-    roots = dict(af.roots)
-    if assign_text:
-        v2, r2 = parse_assignment_text(assign_text, af.conductor)
-        # a re-assigned value invalidates the file's root designations for it
-        for name in v2:
-            for key in [k for k in roots if k[0] == name]:
-                del roots[key]
-        values.update(v2)
-        roots.update(r2)
-    if not af.params:
-        return None
-    missing = [p for p in af.params if p not in values]
-    if missing:
-        raise DslError(f"parameters {missing} lack assignments (use --assign)")
-    return Assignment(af.params, values, roots, af.conductor)
-
-
 def _field_superpotential(af: AlgebraFile, assign_text: str | None) -> Superpotential:
-    asg = _merged_assignment(af, assign_text)
+    asg = af.assignment(assign_text)
     if af.w is not None:
         w = af.w.specialize(asg) if asg is not None else af.w
         return Superpotential(w)
@@ -126,7 +106,7 @@ def cmd_check_superpotential(args) -> int:
         "is_superpotential": sp.twist.is_identity(),
         "derivatives_independent": sp.derivatives_independent(),
     }
-    _emit(out, args.format)
+    _emit(out)
     return 0
 
 
@@ -140,7 +120,7 @@ def cmd_derive(args) -> int:
         "trailing": [print_poly(g) for g in sp.g],
         "twist": [str(s) if sp.ctx.mode == "field" else s.text(sp.ctx.params) for s in sp.twist.scales],
     }
-    _emit(out, args.format)
+    _emit(out)
     return 0
 
 
@@ -159,7 +139,7 @@ def cmd_solve_tuples(args) -> int:
         ],
         "families": [f.to_json(af.conductor) for f in fams],
     }
-    _emit(out, args.format)
+    _emit(out)
     return 0
 
 
@@ -169,7 +149,7 @@ def cmd_build_extension(args) -> int:
     k = _require(args.omit, "--omit") - 1
     p = _parse_field_tuple(_require(args.p, "--p"), sp.ctx)
     spec = build_extension(sp, p, k, label=f"D({af.name})")
-    _emit(spec.describe(), args.format)
+    _emit(spec.describe())
     return 0
 
 
@@ -204,7 +184,7 @@ def cmd_verify(args) -> int:
     p = _parse_field_tuple(_require(args.p, "--p"), sp.ctx)
     spec = build_extension(sp, p, k, label=f"D({af.name})")
     cert = full_certificate(spec, bound=args.bound, engine=args.engine)
-    _emit(cert.to_json(), args.format)
+    _emit(cert.to_json())
     return 0 if cert.passed else 1
 
 
@@ -227,8 +207,7 @@ def cmd_family_probe(args) -> int:
         pts.append(
             tuple(Scalar.from_rational(j + 1, sp.ctx.conductor) for j in range(sp.n))
         )
-    bound = args.bound if args.bound is not None else 6
-    report = flatness_probe(sp, pts, bound, args.engine if args.engine != "both" else "gb")
+    report = flatness_probe(sp, pts, args.bound, args.engine)
     _emit(report.to_json(), args.format, tsv=report.to_tsv())
     return 0 if report.passed else 1
 
@@ -240,7 +219,7 @@ def cmd_zhang(args) -> int:
     p = _parse_field_tuple(_require(args.p, "--p"), sp.ctx)
     sigma = DiagonalMap(sp.ctx, _parse_field_tuple(_require(args.sigma, "--sigma"), sp.ctx))
     report = zhang_certificate(sp, p, k, sigma)
-    _emit(report.to_json(), args.format)
+    _emit(report.to_json())
     return 0 if report.passed else 1
 
 
@@ -378,30 +357,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and certify normal/central extensions of superpotential algebras.",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
+    # each subcommand accepts exactly the options it reads
+    options = {
+        "omit": ("--omit", dict(type=int, default=None, help="omitted relation index k (1-based)")),
+        "p": ("--p", dict(default=None, help="comma-separated tuple of scalars")),
+        "bound": ("--bound", dict(type=int, default=None, help="degree bound (default 2m+4)")),
+        "engine": (
+            "--engine",
+            dict(choices=["la", "gb", "both"], default="both", help="dimension engine"),
+        ),
+        "format": ("--format", dict(choices=["json", "tsv"], default="json")),
+    }
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="algebra file (.alg)")
-        p.add_argument("--bound", type=int, default=None, help="degree bound (default 2m+4)")
-        p.add_argument("--omit", type=int, default=None, help="omitted relation index k (1-based)")
-        p.add_argument("--p", default=None, help="comma-separated tuple of scalars")
-        p.add_argument(
-            "--engine", choices=["la", "gb", "both"], default="both", help="dimension engine"
-        )
-        p.add_argument("--format", choices=["json", "tsv"], default="json")
+    def command(verb, help, *names):
+        p = sub.add_parser(verb, help=help)
+        p.add_argument("file", help="algebra file (.alg)")
         p.add_argument("--assign", default=None, help='parameter assignments "a:=4,a^{1/2}:=2"')
+        for name in names:
+            flag, kwargs = options[name]
+            p.add_argument(flag, **kwargs)
         return p
 
-    common(sub.add_parser("check-superpotential", help="recognize the diagonal twist"))
-    common(sub.add_parser("derive", help="print derivative bundles and the twist"))
-    common(sub.add_parser("solve-tuples", help="solve the multiplicative conditions"))
-    common(sub.add_parser("build-extension", help="print the extension presentation"))
-    hil = common(sub.add_parser("hilbert", help="graded dimension table"))
+    command("check-superpotential", "recognize the diagonal twist")
+    command("derive", "print derivative bundles and the twist")
+    command("solve-tuples", "solve the multiplicative conditions", "omit")
+    command("build-extension", "print the extension presentation", "omit", "p")
+    hil = command("hilbert", "graded dimension table", "omit", "p", "bound", "engine", "format")
     hil.add_argument("--gb-log", action="store_true", help="include rewriting-system debug info")
-    common(sub.add_parser("verify", help="full certificate for one instance"))
-    probe = common(sub.add_parser("family-probe", help="flat-family Hilbert sampling"))
+    command("verify", "full certificate for one instance", "omit", "p", "bound", "engine")
+    probe = command("family-probe", "flat-family Hilbert sampling", "format")
+    probe.add_argument("--bound", type=int, default=6, help="degree bound (default 6)")
+    probe.add_argument("--engine", choices=["la", "gb"], default="gb", help="dimension engine")
     probe.add_argument("--points", default=None, help='semicolon-separated points "1,0,0;1,1,1"')
-    zh = common(sub.add_parser("zhang", help="twist-compatibility certificate"))
+    zh = command("zhang", "twist-compatibility certificate", "omit", "p")
     zh.add_argument("--sigma", default=None, help="comma-separated diagonal scales")
     tb = sub.add_parser("tables", help="compare solver output against the reference rows")
     tb.add_argument("corpus", nargs="?", default=None, help="corpus directory (default: packaged)")

@@ -361,24 +361,25 @@ class AlgebraFile:
         mode = "unit" if self.params else "field"
         return Context(self.gens, self.conductor, self.params, mode)
 
-    def assignment(self) -> Assignment | None:
+    def assignment(self, assign_text: str | None = None) -> Assignment | None:
+        """The file's values and roots, overridden by ``assign_text``
+        ("a:=4,a^{1/2}:=2"); None when the algebra has no parameters."""
+        values = dict(self.values)
+        roots = dict(self.roots)
+        if assign_text:
+            new_values, new_roots = parse_assignment_text(assign_text, self.conductor)
+            # a re-assigned value invalidates the file's root designations for it
+            for name in new_values:
+                for key in [k for k in roots if k[0] == name]:
+                    del roots[key]
+            values.update(new_values)
+            roots.update(new_roots)
         if not self.params:
             return None
-        if set(self.values) != set(self.params):
-            return None
-        return Assignment(self.params, self.values, self.roots, self.conductor)
-
-    def field_elements(self):
-        """(w, rels) carried into field mode, specializing if needed."""
-        if not self.params:
-            return self.w, self.rels
-        asg = self.assignment()
-        if asg is None:
-            missing = [p for p in self.params if p not in self.values]
-            raise DslError(f"parameters {missing} lack assignments; field mode unavailable")
-        w = self.w.specialize(asg) if self.w is not None else None
-        rels = [r.specialize(asg) for r in self.rels] if self.rels is not None else None
-        return w, rels
+        missing = [p for p in self.params if p not in values]
+        if missing:
+            raise DslError(f"parameters {missing} lack assignments (use --assign)")
+        return Assignment(self.params, values, roots, self.conductor)
 
 
 def parse_algebra(text: str) -> AlgebraFile:

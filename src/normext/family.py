@@ -19,16 +19,11 @@ from dataclasses import dataclass, field
 
 from .certify import ExtensionSpec, build_extension
 from .dsl import print_poly, scalar_text
-from .freealg import AlgebraError, FreeElement, word_key
-from .linalg import RowReducer
+from .freealg import AlgebraError, FreeElement
+from .linalg import RowReducer, solve
 from .quotient import Presentation, hilbert_table, linear_engine
 from .scalars import Scalar
-from .superpotential import (
-    DiagonalMap,
-    Superpotential,
-    eigen_scale,
-    scalar_kernel_basis,
-)
+from .superpotential import DiagonalMap, Superpotential, eigen_scale
 
 
 class FamilyError(AlgebraError):
@@ -73,11 +68,7 @@ def fiber(sp: Superpotential, coords) -> Fiber:
 
 def _check_fiber_span(sp: Superpotential, pres: Presentation, omega: FreeElement) -> None:
     """Degree-m relations plus the distinguished element span A's relations."""
-    red = RowReducer()
-    for r in pres.relations:
-        if r.degree == sp.m:
-            red.insert(dict(r.terms))
-    red.insert(dict(omega.terms))
+    red = RowReducer([r.terms for r in pres.relations if r.degree == sp.m] + [omega.terms])
     ok = red.rank == sp.n and all(red.contains(dict(f.terms)) for f in sp.f)
     if not ok:
         raise FamilyError("fiber relations plus omega do not recover the base relations")
@@ -208,15 +199,9 @@ def zhang_certificate(sp: Superpotential, p, k: int, sigma: DiagonalMap) -> Zhan
     degrees = sorted({r.degree for r in left.relations} | {r.degree for r in right.relations})
     ok = True
     for d in degrees:
-        la = [dict(r.terms) for r in left.relations if r.degree == d]
-        rb = [dict(r.terms) for r in right.relations if r.degree == d]
-        ra = RowReducer()
-        for row in la:
-            ra.insert(dict(row))
-        rr = RowReducer()
-        for row in rb:
-            rr.insert(dict(row))
-        if ra.rank != rr.rank or not all(ra.contains(dict(r)) for r in rb):
+        rb = [r.terms for r in right.relations if r.degree == d]
+        ra = RowReducer(r.terms for r in left.relations if r.degree == d)
+        if ra.rank != RowReducer(rb).rank or not all(ra.contains(r) for r in rb):
             ok = False
     return ZhangReport(
         hdet=scalar_text(hd),
@@ -240,36 +225,6 @@ class BasisChange:
         }
 
 
-def _solve_dense(mat, rhs):
-    """One solution of mat*x = rhs over Q(zeta); None if inconsistent."""
-    ncols = len(mat[0]) if mat else 0
-    n = rhs[0].n
-    rows = [list(r) + [v] for r, v in zip(mat, rhs)]
-    pivots = []
-    for row in rows:
-        for col, prow in pivots:
-            if not row[col].is_zero():
-                f = row[col]
-                for j in range(len(row)):
-                    if not prow[j].is_zero():
-                        row[j] = row[j] - f * prow[j]
-        lead = next((j for j in range(ncols) if not row[j].is_zero()), None)
-        if lead is None:
-            if not row[ncols].is_zero():
-                return None
-            continue
-        inv = row[lead].inv()
-        pivots.append((lead, [v * inv for v in row]))
-    x = [Scalar.zero(n)] * ncols
-    for col, prow in reversed(pivots):
-        s = prow[ncols]
-        for j in range(col + 1, ncols):
-            if not prow[j].is_zero() and not x[j].is_zero():
-                s = s - prow[j] * x[j]
-        x[col] = s
-    return x
-
-
 def adapt_basis(w: FreeElement, f_list) -> BasisChange:
     """Change of generators making the given relations the derivative bundle.
 
@@ -285,29 +240,20 @@ def adapt_basis(w: FreeElement, f_list) -> BasisChange:
     f_list = list(f_list)
     if len(f_list) != sp.n:
         raise FamilyError("need exactly one relation per generator")
-    words = sorted({u for g in sp.f for u in g.terms} | {u for g in f_list for u in g.terms}, key=word_key)
-    zero = Scalar.zero(ctx.conductor)
-    basis_cols = [[g.terms.get(u, zero) for g in sp.f] for u in words]
     p_rows = []
     for h in f_list:
-        rhs = [h.terms.get(u, zero) for u in words]
-        sol = _solve_dense(basis_cols, rhs)
+        sol = solve([g.terms for g in sp.f], h.terms)
         if sol is None:
             raise FamilyError("relation list does not lie in the derivative span")
         p_rows.append(sol)
-    # invertibility of P
-    if scalar_kernel_basis([list(r) for r in p_rows]):
-        raise FamilyError("relation list is linearly dependent (singular P)")
-    # x' = (P^t)^{-1} x, i.e. row a of (P^t)^{-1} in the old letters
+    # x' = (P^t)^{-1} x: column a of (P^t)^{-1} solves P^t c = e_a, and the
+    # columns of P^t are the rows of P
     n = sp.n
-    pt = [[p_rows[b][a] for b in range(n)] for a in range(n)]
-    inv_cols = []
-    for a in range(n):
-        e = [Scalar.one(ctx.conductor) if i == a else zero for i in range(n)]
-        col = _solve_dense(pt, e)
-        if col is None:
-            raise FamilyError("singular P")
-        inv_cols.append(col)  # column a of (P^t)^{-1}
+    one = Scalar.one(ctx.conductor)
+    rows = [{j: v for j, v in enumerate(r) if v} for r in p_rows]
+    inv_cols = [solve(rows, {a: one}) for a in range(n)]
+    if any(col is None for col in inv_cols):
+        raise FamilyError("relation list is linearly dependent (singular P)")
     new_gens = []
     for a in range(n):
         g = FreeElement.zero(ctx)

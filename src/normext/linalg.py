@@ -3,14 +3,14 @@
 Rows are dicts mapping a totally ordered column key (any comparable
 hashable, in practice word tuples) to nonzero ``Scalar`` values.  Pivoting
 always uses the largest column key of a row, so reduction order is
-deterministic and reproducible.
+deterministic and reproducible.  ``kernel`` and ``solve`` answer the
+dense questions (the relations among vectors, one solution of a linear
+system) on the same reducer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import sc_fms
+from .scalars import Scalar, sc_fms
 
 
 class ResourceLimitError(RuntimeError):
@@ -20,10 +20,12 @@ class ResourceLimitError(RuntimeError):
 class RowReducer:
     """Incremental triangular basis with monic pivots on the largest key."""
 
-    def __init__(self, entry_limit: int | None = None) -> None:
+    def __init__(self, rows=(), entry_limit: int | None = None) -> None:
         self.pivots: dict = {}  # pivot key -> monic row
         self.entry_limit = entry_limit
         self._entries = 0
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self) -> int:
@@ -58,19 +60,16 @@ class RowReducer:
             return False
         lead = max(row)
         inv = row[lead].inv()
-        monic = {k: v * inv for k, v in row.items()}
-        self.pivots[lead] = monic
-        self._entries += len(monic)
-        if self.entry_limit is not None and self._entries > self.entry_limit:
-            raise ResourceLimitError(
-                f"row reducer exceeded entry limit {self.entry_limit}"
-            )
+        self._store(lead, {k: v * inv for k, v in row.items()})
         return True
 
     def insert_pivot_row(self, row: dict) -> None:
         """Insert a row already known to have a fresh leading key (monic)."""
         lead = max(row)
         assert lead not in self.pivots
+        self._store(lead, row)
+
+    def _store(self, lead, row: dict) -> None:
         self.pivots[lead] = row
         self._entries += len(row)
         if self.entry_limit is not None and self._entries > self.entry_limit:
@@ -85,38 +84,55 @@ class RowReducer:
         return [self.pivots[k] for k in sorted(self.pivots)]
 
 
-def rank_of_rows(rows) -> int:
-    red = RowReducer()
-    for r in rows:
-        red.insert(r)
-    return red.rank
+# kernel and solve reduce vector j as the row {(1, k): vector[k]} plus a unit
+# tag at (0, j).  Every tag sorts below every data key, so a reduced row
+# whose lead is a tag has no data left, and its tags are the coefficients
+# of a relation among the vectors.
 
 
-def solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]):
-    """One solution of mat*x = rhs over Q, or None; mat is dense rows."""
-    rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(mat, rhs)]
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        for col, prow in pivots:
-            if row[col]:
-                f = row[col]
-                for j in range(len(row)):
-                    row[j] -= f * prow[j]
-        lead = next((j for j in range(ncols) if row[j]), None)
-        if lead is None:
-            if row[ncols]:
-                return None
-            continue
-        inv = 1 / row[lead]
-        pivots.append((lead, [v * inv for v in row]))
-    x = [Fraction(0)] * ncols
-    for col, prow in reversed(pivots):
-        s = prow[ncols]
-        for j in range(col + 1, ncols):
-            s -= prow[j] * x[j]
-        x[col] = s
-    return x
+def _tagged(j: int, vector: dict, one: Scalar) -> dict:
+    row = {(1, k): c for k, c in vector.items()}
+    row[(0, j)] = one
+    return row
+
+
+def _one(vectors) -> Scalar:
+    """The unit of the vectors' conductor (1 when every vector is zero)."""
+    for v in vectors:
+        for c in v.values():
+            return Scalar.one(c.n)
+    return Scalar.one()
+
+
+def kernel(vectors) -> list[list[Scalar]]:
+    """A basis of the x with sum_j x_j * vectors[j] = 0, as dense lists.
+
+    Vectors are sparse rows over one conductor.
+    """
+    vectors = list(vectors)
+    one = _one(vectors)
+    red = RowReducer(_tagged(j, v, one) for j, v in enumerate(vectors))
+    zero = Scalar.zero(one.n)
+    return [
+        [row.get((0, j), zero) for j in range(len(vectors))]
+        for lead, row in sorted(red.pivots.items())
+        if lead[0] == 0
+    ]
+
+
+def solve(vectors, target: dict) -> list[Scalar] | None:
+    """x with sum_j x_j * vectors[j] = target, or None if target is not in
+    the span.  x_j = 0 for every vectors[j] in the span of vectors[:j], so
+    the solution is unique."""
+    vectors = list(vectors)
+    one = _one([*vectors, target])
+    red = RowReducer(_tagged(j, v, one) for j, v in enumerate(vectors))
+    rest = red.reduce(_tagged(len(vectors), target, one))
+    if max(rest)[0] == 1:
+        return None
+    zero = Scalar.zero(one.n)
+    # rest = target + tag - sum_j x_j (vectors[j] + tag_j), with no data left
+    return [-rest[(0, j)] if (0, j) in rest else zero for j in range(len(vectors))]
 
 
 def diagonalize_integer_matrix(a: list[list[int]]):

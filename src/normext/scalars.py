@@ -9,7 +9,9 @@ Two coefficient domains coexist:
   ``sc_fms`` (a - c*b) work on Python integers only: products share one
   convolution, reduced mod Phi_N through a table of z^k mod Phi_N, which
   has integer entries because Phi_N is monic.  No Fraction is built on
-  these paths; the inverse, needed once per pivot, still runs over Q.
+  these paths.  The inverse runs on the same convolution: the product of
+  the Galois conjugates of a numerator is its cofactor against the norm,
+  an integer.
 * ``UnitScalar`` -- an element of the divisible abelian group
   (Q/Z) + Q^k, written multiplicatively as e^(2*pi*i*r) * prod params^a_j.
   The good-tuple equations are purely multiplicative, so this group is
@@ -252,48 +254,23 @@ class Scalar:
         return _make(a.n, _convolve(a.n, a.num, b.num), a.den * b.den)
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse through the norm: with a = num/den and
+        c = prod_{sigma != 1} sigma(num) over the Galois automorphisms
+        sigma_k: z -> z^k (k coprime to N), num * c = N(num) is a nonzero
+        integer, so a^(-1) = den * c / N(num)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        phi = [Fraction(v) for v in cyclotomic_poly(self.n)]
-        # Extended gcd of the numerator (as poly) and phi over Q[x].
-        r0, r1 = phi, [Fraction(v) for v in self.num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            if d0 < d1:
-                r0, r1 = r1, r0
-                s0, s1 = s1, s0
-                continue
-            q = [Fraction(0)] * (d0 - d1 + 1)
-            rr = list(r0)
-            while deg(rr) >= d1 >= 0 and deg(rr) >= 0:
-                k = deg(rr) - d1
-                coef = rr[deg(rr)] / r1[d1]
-                q[k] += coef
-                for j in range(d1 + 1):
-                    rr[k + j] -= coef * r1[j]
-            # r0 - q*r1 = rr ; update Bezout coefficient for self.
-            news = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            news[i + j] -= qc * sc
-            r0, r1 = r1, rr
-            s0, s1 = s1, news
-        d1 = deg(r1)
-        if d1 < 0:
-            raise ZeroDivisionError("scalar is a zero divisor (defect)")
-        scale = self.den / r1[d1]
-        return Scalar(self.n, [v * scale for v in s1])
+        n, num = self.n, self.num
+        cofactor = [1] + [0] * (len(num) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                spread = [0] * n
+                for i, v in enumerate(num):
+                    spread[i * k % n] += v
+                cofactor = _convolve(n, cofactor, _fold(n, spread, len(num)))
+        norm = _convolve(n, num, cofactor)[0]
+        sign = 1 if norm > 0 else -1
+        return _make(n, [sign * self.den * v for v in cofactor], sign * norm)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()

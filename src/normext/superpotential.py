@@ -8,8 +8,7 @@ construction consumes.  Only diagonal twists are recognized.
 from __future__ import annotations
 
 from .freealg import AlgebraError, Context, FreeElement, HomogeneityError, word_key
-from .linalg import RowReducer
-from .scalars import Scalar
+from .linalg import RowReducer, kernel
 
 
 class TwistError(AlgebraError):
@@ -173,10 +172,7 @@ class Superpotential:
         return self.w.degree - 1
 
     def derivatives_independent(self) -> bool:
-        red = RowReducer()
-        return all(red.insert(dict(fi.terms)) for fi in self.f if not fi.is_zero()) and not any(
-            fi.is_zero() for fi in self.f
-        )
+        return RowReducer(fi.terms for fi in self.f).rank == self.n
 
 
 def coefficient_matrix(w: FreeElement) -> list[list[FreeElement]]:
@@ -233,20 +229,11 @@ def superpotential_from_relations(rels: list[FreeElement], m: int | None = None)
             left.append({(i,) + u: c for u, c in r.terms.items()})
             right.append({u + (i,): c for u, c in r.terms.items()})
 
-    # Solve sum a_e left_e - sum b_f right_f = 0 by dense elimination over
-    # the ambient degree-(deg+1) coordinates.
-    cols = sorted({u for row in left + right for u in row}, key=word_key)
-    zero = Scalar.zero(ctx.conductor)
-    mat = []
-    for u in cols:
-        mat.append(
-            [row.get(u, zero) for row in left] + [-(row.get(u, zero)) for row in right]
-        )
-    kernel = scalar_kernel_basis(mat)
-    # Each kernel vector's left half assembles an intersection element.
+    # Each relation sum a_e left_e - sum b_f right_f = 0 gives an element
+    # sum a_e left_e of the intersection.
     found = RowReducer()
     witnesses = []
-    for vec in kernel:
+    for vec in kernel(left + [{u: -c for u, c in row.items()} for row in right]):
         elem: dict = {}
         for e_idx, a in enumerate(vec[: len(left)]):
             if a.is_zero():
@@ -258,7 +245,7 @@ def superpotential_from_relations(rels: list[FreeElement], m: int | None = None)
                     elem.pop(u, None)
                 else:
                     elem[u] = nv
-        if elem and found.insert(dict(elem)):
+        if elem and found.insert(elem):
             witnesses.append(elem)
     if found.rank != 1:
         raise IntersectionError(found.rank)
@@ -268,45 +255,6 @@ def superpotential_from_relations(rels: list[FreeElement], m: int | None = None)
     out = FreeElement(ctx)
     out.terms = {u: c * inv for u, c in elem.items()}
     return out
-
-
-def scalar_kernel_basis(mat: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Kernel basis of a dense matrix over Q(zeta_N)."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    n = mat[0][0].n if ncols else 1
-    one = Scalar.one(n)
-    zero = Scalar.zero(n)
-    rows = [list(r) for r in mat]
-    pivots: list[tuple[int, list[Scalar]]] = []
-    for row in rows:
-        for col, prow in pivots:
-            if not row[col].is_zero():
-                f = row[col]
-                for j in range(ncols):
-                    if not prow[j].is_zero():
-                        row[j] = row[j] - f * prow[j]
-        lead = next((j for j in range(ncols) if not row[j].is_zero()), None)
-        if lead is None:
-            continue
-        inv = row[lead].inv()
-        pivots.append((lead, [v * inv for v in row]))
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for col, prow in reversed(pivots):
-            s = zero
-            for j in range(col + 1, ncols):
-                if not prow[j].is_zero() and not vec[j].is_zero():
-                    s = s - prow[j] * vec[j]
-            vec[col] = s
-        basis.append(vec)
-    return basis
 
 
 def eigen_scale(sigma: DiagonalMap, f: FreeElement):

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .dsl import print_poly, unit_text
 from .freealg import FreeElement
-from .linalg import diagonalize_integer_matrix
-from .scalars import UnitScalar, unit_from_scalar
+from .linalg import diagonalize_integer_matrix, solve
+from .scalars import Scalar, UnitScalar, unit_from_scalar
 from .superpotential import (
     DiagonalMap,
     NotEigenvectorError,
@@ -188,16 +188,9 @@ class SolutionFamily:
         dirs = [vec for _, vec in self.directions]
         # rational exponents per parameter
         for j in range(nparams):
-            mat = [[Fraction(v[i]) for v in dirs] for i in range(self.n)]
             rhs = [target[i].exps[j] - self.particular[i].exps[j] for i in range(self.n)]
-            if dirs:
-                from .linalg import solve_rational
-
-                if solve_rational(mat, rhs) is None:
-                    return False
-            else:
-                if any(rhs):
-                    return False
+            if not _rational_span_contains(dirs, rhs):
+                return False
         # torsion part, per coset
         for coset in self.cosets:
             delta = [
@@ -213,16 +206,8 @@ class SolutionFamily:
             return False
         self_dirs = [vec for _, vec in self.directions]
         for _, vec in other.directions:
-            mat = [[Fraction(v[i]) for v in self_dirs] for i in range(self.n)]
-            rhs = [Fraction(x) for x in vec]
-            if self_dirs:
-                from .linalg import solve_rational
-
-                if solve_rational(mat, rhs) is None:
-                    return False
-            else:
-                if any(rhs):
-                    return False
+            if not _rational_span_contains(self_dirs, vec):
+                return False
         base = [UnitScalar(u.tor, u.exps[: len(self.params)]) for u in other.member_units(0)]
         return all(
             self.contains(
@@ -257,6 +242,15 @@ class SolutionFamily:
             "members": [self.entry_texts(ci, conductor) for ci in range(len(self.cosets))],
             "provenance": {"w_hash": self.w_hash, "k": self.k + 1},
         }
+
+
+def _rational_span_contains(vectors, target) -> bool:
+    """Is the rational vector target a rational combination of vectors?"""
+
+    def sparse(vec) -> dict:
+        return {i: Scalar.from_rational(x) for i, x in enumerate(vec) if x}
+
+    return solve([sparse(v) for v in vectors], sparse(target)) is not None
 
 
 def w_hash(w: FreeElement) -> str:

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from normext.cli import default_corpus_path, load_corpus
-from normext.dsl import parse_assignment_text, parse_scalar
+from normext.dsl import parse_scalar
 from normext.freealg import Context, FreeElement
-from normext.scalars import Assignment, Scalar
+from normext.scalars import Scalar
 
 
 @pytest.fixture(scope="session")
@@ -27,24 +27,9 @@ def field_instances(entry):
     return out
 
 
-def merged_assignment(af, assign_text):
-    values = dict(af.values)
-    roots = dict(af.roots)
-    if assign_text:
-        v2, r2 = parse_assignment_text(assign_text, af.conductor)
-        for name in v2:
-            for key in [kk for kk in roots if kk[0] == name]:
-                del roots[key]
-        values.update(v2)
-        roots.update(r2)
-    if not af.params:
-        return None
-    return Assignment(af.params, values, roots, af.conductor)
-
-
 def field_w(entry, assign_text=None):
     af = entry.algebra
-    asg = merged_assignment(af, assign_text)
+    asg = af.assignment(assign_text)
     return af.w.specialize(asg) if asg is not None else af.w
 
 

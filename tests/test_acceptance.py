@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from conftest import field_instances, field_w, merged_assignment, parse_tuple
+from conftest import field_instances, field_w, parse_tuple
 from normext.certify import build_extension, default_bound, full_certificate
 from normext.cli import default_corpus_path, tables_report
 from normext.dsl import parse_poly

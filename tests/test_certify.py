@@ -37,11 +37,8 @@ w = x*x*y*y + alpha*x*y*y*x + alpha^{2}*y*y*x*x - alpha*y*x*x*y ;
 
 def s2_superpotential(alpha=None):
     af = parse_algebra(S2_SRC)
-    if alpha is not None:
-        af.values["alpha"] = Scalar.from_rational(alpha, 12)
-        af.roots = {}
-    w, _ = af.field_elements()
-    return Superpotential(w)
+    asg = af.assignment(None if alpha is None else f"alpha:={alpha}")
+    return Superpotential(af.w.specialize(asg))
 
 
 def poly_spec(p=(1, 1, 1), k=0):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import normext
 from normext.cli import default_corpus_path, run
 
 CORPUS = default_corpus_path()
@@ -45,6 +48,31 @@ def test_input_errors_exit_two(capsys):
     assert run(["verify", str(CORPUS / "nope.alg"), "--omit", "1", "--p", "1,1,1"]) == 2
     assert run(["verify", W_POLY, "--omit", "1", "--p", "1,0,1"]) == 2
     assert run(["hilbert", W_POLY, "--engine", "warp"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", W_POLY, "--engine", "la"],
+        ["check-superpotential", W_POLY, "--format", "tsv"],
+        ["solve-tuples", S2, "--omit", "1", "--bound", "6"],
+        ["verify", W_POLY, "--omit", "1", "--p", "1,1,1", "--format", "tsv"],
+        ["family-probe", W_POLY, "--omit", "1"],
+        ["family-probe", W_POLY, "--engine", "both"],
+        ["zhang", W_POLY, "--omit", "1", "--p", "1,1,1", "--sigma", "2,1,1", "--bound", "9"],
+    ],
+)
+def test_options_a_command_ignores_are_rejected(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+def test_verify_both_engines_matches_gb(capsys):
+    args = ["verify", W_POLY, "--omit", "1", "--p", "1,1,1", "--bound", "5"]
+    code_gb, out_gb = run_cli(capsys, *args, "--engine", "gb")
+    code_both, out_both = run_cli(capsys, *args, "--engine", "both")
+    assert (code_both, out_both) == (code_gb, out_gb) and code_gb == 0
 
 
 def test_solve_tuples_table_row(capsys):
@@ -126,10 +154,13 @@ def test_reports_are_deterministic(capsys):
 
 
 def test_console_entry_point():
+    src = str(Path(normext.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "normext.cli", "check-superpotential", W_POLY],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degree"] == 3

@@ -206,9 +206,9 @@ fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 
 
 @st.composite
-def coefficient_vectors(draw, count):
+def coefficient_vectors(draw, count, conductors=PROPERTY_CONDUCTORS):
     """(n, [vector, ...]): count reduced Fraction vectors at one conductor."""
-    n = draw(st.sampled_from(PROPERTY_CONDUCTORS))
+    n = draw(st.sampled_from(conductors))
     d = len(cyclotomic_poly(n)) - 1
     sparse = st.one_of(st.just(Fraction(0)), fractions)
     vecs = [tuple(draw(st.lists(sparse, min_size=d, max_size=d))) for _ in range(count)]
@@ -255,7 +255,8 @@ def test_kernel_ring_ops_match_reference(data):
 
 
 @PROPERTY
-@given(coefficient_vectors(1))
+# 5, 7, 15 and 24 add non-cyclic Galois groups and degrees up to 8
+@given(coefficient_vectors(1, PROPERTY_CONDUCTORS + [5, 7, 15, 24]))
 def test_kernel_inverse_and_text_match_reference(data):
     n, (ca,) = data
     a = Scalar(n, ca)

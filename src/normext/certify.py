@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement, word_key
 from .linalg import RowReducer
-from .quotient import Presentation, gb_engine, hilbert_table, membership
+from .quotient import GradedQuotient, Presentation, hilbert_table, membership
 from .superpotential import (
     DiagonalMap,
     NotEigenvectorError,
@@ -213,7 +213,7 @@ def omega_certificate(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tu
     if bound < spec.m + 1:
         raise BuildError(f"bound {bound} too small; need at least m+1 = {spec.m + 1}")
     ctx = spec.ctx
-    gb = gb_engine(spec.D, bound)
+    quot = GradedQuotient(spec.D, engine, bound)
     xs = [FreeElement.gen(ctx, i) for i in range(spec.n)]
     omega = spec.omega
     q = spec.sp.twist.scales
@@ -232,21 +232,15 @@ def omega_certificate(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tu
         membership(xs[i] * omega - omega * xs[i], spec.D, engine, bound) for i in range(spec.n)
     )
 
+    def kernel_dim(products) -> int:
+        return len(products) - RowReducer(quot.normal_form(f).terms for f in products).rank
+
     right_kernels = []
     left_kernels = []
     for d in range(bound - spec.m + 1):
-        words = gb.normal_words(d)
-        dim = len(words)
-        rows_r = []
-        rows_l = []
-        for u in words:
-            mono = FreeElement.monomial(ctx, u)
-            img_r = gb.normal_form(mono * omega)
-            img_l = gb.normal_form(omega * mono)
-            rows_r.append({word_key(wd): c for wd, c in img_r.terms.items()})
-            rows_l.append({word_key(wd): c for wd, c in img_l.terms.items()})
-        right_kernels.append(dim - RowReducer(rows_r).rank)
-        left_kernels.append(dim - RowReducer(rows_l).rank)
+        monos = [FreeElement.monomial(ctx, u) for u in quot.normal_words(d)]
+        right_kernels.append(kernel_dim([u * omega for u in monos]))
+        left_kernels.append(kernel_dim([omega * u for u in monos]))
 
     regular = not any(right_kernels) and not any(left_kernels)
     diag = {
@@ -369,16 +363,16 @@ def build_resolution(spec: ExtensionSpec) -> ResolutionData:
     return ResolutionData(spec)
 
 
-def _graded_map_rows(gb, entries, shifts_src, shifts_tgt, deg):
+def _graded_map_rows(quot, entries, shifts_src, shifts_tgt, deg):
     """Rows of the degree-deg block of a right-multiplication map."""
-    ctx = gb.pres.ctx
+    ctx = quot.pres.ctx
     rows = []
     src_dim = 0
     for s, a_s in enumerate(shifts_src):
         d_src = deg - a_s
         if d_src < 0:
             continue
-        words = gb.normal_words(d_src)
+        words = quot.normal_words(d_src)
         src_dim += len(words)
         for u in words:
             mono = FreeElement.monomial(ctx, u)
@@ -387,7 +381,7 @@ def _graded_map_rows(gb, entries, shifts_src, shifts_tgt, deg):
                 ent = entries[s][t]
                 if ent is None or ent.is_zero():
                     continue
-                img = gb.normal_form(mono * ent)
+                img = quot.normal_form(mono * ent)
                 for wd, c in img.terms.items():
                     row[(t, word_key(wd))] = c
             if row:
@@ -401,7 +395,7 @@ def resolution_certificate(
     ctx = spec.ctx
     n = spec.n
     m = spec.m
-    gb = gb_engine(spec.D, bound)
+    quot = GradedQuotient(spec.D, engine, bound)
 
     # (a) complex property: every entry of M_l M_r lies in the ideal
     bad_entries = []
@@ -411,7 +405,7 @@ def resolution_certificate(
     complex_ok = not bad_entries
 
     # (b) Euler residuals from the graded dimensions
-    dims = hilbert_table(spec.D, bound, engine).dims
+    dims = quot.dims(bound)
 
     def dd(j: int) -> int:
         return dims[j] if 0 <= j <= bound else 0
@@ -440,10 +434,10 @@ def resolution_certificate(
     exact_witness = None
     rank_rows = []
     for deg in range(bound + 1):
-        rows4, dim4 = _graded_map_rows(gb, e43, shifts_p4, shifts_p3, deg)
-        rows3, dim3 = _graded_map_rows(gb, res.Ml, shifts_p3, shifts_p2, deg)
-        rows2, dim2 = _graded_map_rows(gb, res.Mr, shifts_p2, shifts_p1, deg)
-        rows1, dim1 = _graded_map_rows(gb, e10, shifts_p1, [0], deg)
+        rows4, dim4 = _graded_map_rows(quot, e43, shifts_p4, shifts_p3, deg)
+        rows3, dim3 = _graded_map_rows(quot, res.Ml, shifts_p3, shifts_p2, deg)
+        rows2, dim2 = _graded_map_rows(quot, res.Mr, shifts_p2, shifts_p1, deg)
+        rows1, dim1 = _graded_map_rows(quot, e10, shifts_p1, [0], deg)
         r4, r3, r2, r1 = (RowReducer(r).rank for r in (rows4, rows3, rows2, rows1))
         conds = {
             "P4_injective": r4 == dim4,

@@ -354,6 +354,7 @@ def cmd_tables(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="normext",
+        allow_abbrev=False,
         description="Construct and certify normal/central extensions of superpotential algebras.",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
 
     def command(verb, help, *names):
-        p = sub.add_parser(verb, help=help)
+        p = sub.add_parser(verb, help=help, allow_abbrev=False)
         p.add_argument("file", help="algebra file (.alg)")
         p.add_argument("--assign", default=None, help='parameter assignments "a:=4,a^{1/2}:=2"')
         for name in names:
@@ -391,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--points", default=None, help='semicolon-separated points "1,0,0;1,1,1"')
     zh = command("zhang", "twist-compatibility certificate", "omit", "p")
     zh.add_argument("--sigma", default=None, help="comma-separated diagonal scales")
-    tb = sub.add_parser("tables", help="compare solver output against the reference rows")
+    tb = sub.add_parser(
+        "tables", help="compare solver output against the reference rows", allow_abbrev=False
+    )
     tb.add_argument("corpus", nargs="?", default=None, help="corpus directory (default: packaged)")
     tb.add_argument("--format", choices=["json", "tsv"], default="json")
     return ap

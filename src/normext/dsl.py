@@ -136,6 +136,8 @@ class _Parser:
             if t2.kind != "num":
                 raise DslError("expected denominator", t2.line, t2.col)
             den = int(t2.text)
+            if den == 0:
+                raise DslError("zero denominator", t2.line, t2.col)
         v = Fraction(num, den)
         return -v if neg else v
 

@@ -21,7 +21,7 @@ from .certify import ExtensionSpec, build_extension
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement
 from .linalg import RowReducer, solve
-from .quotient import Presentation, hilbert_table, linear_engine
+from .quotient import Presentation, hilbert_table, membership
 from .scalars import Scalar
 from .superpotential import DiagonalMap, Superpotential, eigen_scale
 
@@ -81,19 +81,16 @@ def ideal_components_match(pa: Presentation, pb: Presentation, degrees) -> bool:
     derivative); equality of component dimensions plus mutual membership
     of the generators pins the components exactly.
     """
-    ea, eb = linear_engine(pa), linear_engine(pb)
-    degrees = sorted(degrees)
-    for d in degrees:
-        if ea.ideal_dim(d) != eb.ideal_dim(d):
-            return False
-    dmax = degrees[-1]
-    for r in pa.relations:
-        if r.degree <= dmax and not eb.membership(r):
-            return False
-    for r in pb.relations:
-        if r.degree <= dmax and not ea.membership(r):
-            return False
-    return True
+    dmax = max(degrees)
+    dims_a, dims_b = hilbert_table(pa, dmax, "la").dims, hilbert_table(pb, dmax, "la").dims
+    if any(dims_a[d] != dims_b[d] for d in degrees):
+        return False
+    return all(
+        membership(r, other, "la")
+        for pres, other in ((pa, pb), (pb, pa))
+        for r in pres.relations
+        if r.degree <= dmax
+    )
 
 
 @dataclass

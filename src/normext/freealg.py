@@ -302,9 +302,6 @@ class FreeElement:
 
     # -- text ------------------------------------------------------------------
 
-    def word_text(self, w: Word) -> str:
-        return "*".join(self.ctx.gens[i] for i in w) if w else "1"
-
     def __str__(self) -> str:
         from .dsl import print_poly
 

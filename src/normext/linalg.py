@@ -53,6 +53,16 @@ class RowReducer:
                     work[k] = nv
         return work
 
+    def normal_form(self, row: dict) -> dict:
+        """Reduce every term of row, so that no key of the result is a pivot."""
+        out = {}
+        work = self.reduce(row)
+        while work:
+            lead = max(work)
+            out[lead] = work.pop(lead)
+            work = self.reduce(work)
+        return out
+
     def insert(self, row: dict) -> bool:
         """Reduce then insert; True if the row enlarged the span."""
         row = self.reduce(row)

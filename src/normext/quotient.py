@@ -1,7 +1,7 @@
 """Degree-truncated computation in graded quotients TV/(R).
 
-Two independent engines compute graded dimensions, normal forms and
-membership:
+Two independent engines compute graded dimensions, normal words and
+normal forms:
 
 * ``LinearEngine`` (this module) -- exact sparse row reduction over
   Q(zeta_N).  The degree-d ideal component is built incrementally as
@@ -10,13 +10,16 @@ membership:
   of r * T_k already lies in V * I_{d-1}.  The first summand arrives
   pre-echelonized (prefixing a fixed letter preserves deglex among
   same-degree words), so only the relation-tail rows need reduction, and
-  there are |R| * dim A_k of them instead of |R| * n^k.
+  there are |R| * dim A_k of them instead of |R| * n^k.  Normal words are
+  the standard words, and a normal form is a full reduction against the
+  echelon basis.
 * ``GBState`` (rewriting module) -- truncated noncommutative Buchberger
-  completion with normal-word counting.
+  completion; normal words avoid every rule lead.
 
-``hilbert_table`` can run either engine or both; "both" cross-checks them
-degree by degree and raises on disagreement, which is the oracle pairing
-the certificates rely on.
+``GradedQuotient`` is the one interface the certificates are written
+against: it runs either engine, or both, comparing every dimension,
+normal-word list and normal form and raising on disagreement.
+``hilbert_table``, ``membership`` and ``normal_form`` are thin calls on it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .dsl import print_poly
 class EngineDisagreementError(AssertionError):
     """The two engines disagree; a build-blocking defect, not bad input."""
 
-    def __init__(self, label: str, degree: int, la: int, gb: int) -> None:
+    def __init__(self, label: str, degree: int, la, gb) -> None:
         super().__init__(
             f"engine disagreement for {label!r} at degree {degree}: "
             f"linear algebra {la} vs rewriting {gb}"
@@ -211,36 +214,36 @@ class LinearEngine:
                 red.insert(row)
             self.levels.append(red)
 
-    def ideal_dim(self, d: int) -> int:
-        self.extend(d)
-        return self.levels[d].rank
-
-    def quotient_dim(self, d: int) -> int:
-        return self.pres.ctx.n**d - self.ideal_dim(d)
-
     def dims(self, bound: int) -> list[int]:
         self.extend(bound)
-        return [self.quotient_dim(d) for d in range(bound + 1)]
+        return [self.pres.ctx.n**d - self.levels[d].rank for d in range(bound + 1)]
 
-    def _encode_element(self, f: FreeElement) -> dict:
-        return {self.codec.encode(w): c for w, c in f.terms.items()}
+    def _level(self, d: int) -> RowReducer:
+        if d >= len(self.levels):
+            self.extend(d)
+        return self.levels[d]
 
-    def membership(self, f: FreeElement) -> bool:
-        if f.is_zero():
-            return True
-        d = f.require_homogeneous("membership")
-        self.extend(d)
-        return self.levels[d].contains(self._encode_element(f))
+    def _element(self, row: dict, d: int) -> FreeElement:
+        out = FreeElement(self.pres.ctx)
+        out.terms = {self.codec.decode(c, d): v for c, v in row.items()}
+        return out
+
+    def normal_words(self, d: int) -> list[tuple]:
+        """Standard words of degree d (the non-pivots), in deglex order."""
+        pivots = self._level(d).pivots
+        start = self.codec.offset(d)
+        codes = range(start, start + self.pres.ctx.n**d)
+        return [self.codec.decode(c, d) for c in codes if c not in pivots]
+
+    def normal_form(self, f: FreeElement) -> FreeElement:
+        """f fully reduced against the echelon basis of its degree."""
+        d = f.require_homogeneous("normal form")
+        row = {self.codec.encode(w): c for w, c in f.terms.items()}
+        return self._element(self._level(d).normal_form(row), d)
 
     def ideal_basis(self, d: int) -> list[FreeElement]:
-        self.extend(d)
-        out = []
-        for lead in sorted(self.levels[d].pivots):
-            row = self.levels[d].pivots[lead]
-            f = FreeElement(self.pres.ctx)
-            f.terms = {self.codec.decode(c, d): v for c, v in row.items()}
-            out.append(f)
-        return out
+        pivots = self._level(d).pivots
+        return [self._element(pivots[lead], d) for lead in sorted(pivots)]
 
 
 _LA_CACHE: dict[str, LinearEngine] = {}
@@ -272,49 +275,62 @@ def ideal_basis(pres: Presentation, d: int) -> list[FreeElement]:
     return linear_engine(pres).ideal_basis(d)
 
 
+class GradedQuotient:
+    """Dimensions, normal words and normal forms of TV/(R) up to a bound.
+
+    With engine ``la`` or ``gb`` that engine's own methods are bound onto
+    the instance.  With ``both`` each answer comes from both engines and a
+    mismatch raises ``EngineDisagreementError``: the LA pivots are the
+    deglex leading words, so the two must agree term by term.  Normal forms
+    are exact up to ``bound``, the degree the rewriting system is completed
+    to.
+    """
+
+    def __init__(self, pres: Presentation, engine: str = "both", bound: int = 0) -> None:
+        pres.require_field()
+        if engine not in ("la", "gb", "both"):
+            raise ValueError(f"unknown engine {engine!r}")
+        self.pres = pres
+        self.label = pres.label or pres.text()
+        if engine != "gb":
+            self.la = linear_engine(pres)
+        if engine != "la":
+            self.gb = gb_engine(pres, bound)
+        if engine != "both":
+            own = self.la if engine == "la" else self.gb
+            self.dims = own.dims
+            self.normal_words = own.normal_words
+            self.normal_form = own.normal_form
+
+    def _agree(self, degree: int, la, gb):
+        if la != gb:
+            raise EngineDisagreementError(self.label, degree, la, gb)
+        return la
+
+    def dims(self, bound: int) -> list[int]:
+        pairs = zip(self.la.dims(bound), self.gb.dims(bound))
+        return [self._agree(d, la, gb) for d, (la, gb) in enumerate(pairs)]
+
+    def normal_words(self, d: int) -> list[tuple]:
+        return self._agree(d, self.la.normal_words(d), self.gb.normal_words(d))
+
+    def normal_form(self, f: FreeElement) -> FreeElement:
+        return self._agree(f.require_homogeneous(), self.la.normal_form(f), self.gb.normal_form(f))
+
+
 def hilbert_table(pres: Presentation, bound: int, engine: str = "both") -> DegreeTable:
     """Graded dimensions of TV/(R) up to bound, via the chosen engine(s)."""
-    pres.require_field()
-    label = pres.label or pres.text()
-    if engine == "la":
-        dims = linear_engine(pres).dims(bound)
-    elif engine == "gb":
-        dims = gb_engine(pres, bound).dims(bound)
-    elif engine == "both":
-        la = linear_engine(pres).dims(bound)
-        gb = gb_engine(pres, bound).dims(bound)
-        for d, (a, b) in enumerate(zip(la, gb)):
-            if a != b:
-                raise EngineDisagreementError(label, d, a, b)
-        dims = la
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return DegreeTable(label=label, bound=bound, dims=tuple(dims), engine=engine)
+    q = GradedQuotient(pres, engine, bound)
+    return DegreeTable(label=q.label, bound=bound, dims=tuple(q.dims(bound)), engine=engine)
 
 
 def membership(f: FreeElement, pres: Presentation, engine: str = "gb", bound: int | None = None) -> bool:
     """Does f lie in the two-sided ideal (R)?  Degree-truncated, exact."""
-    pres.require_field()
-    if f.is_zero():
-        return True
     d = f.require_homogeneous("membership")
-    if engine == "la":
-        return linear_engine(pres).membership(f)
-    if engine == "gb":
-        return gb_engine(pres, max(d, bound or 0)).normal_form(f).is_zero()
-    if engine == "both":
-        a = linear_engine(pres).membership(f)
-        b = gb_engine(pres, max(d, bound or 0)).normal_form(f).is_zero()
-        if a != b:
-            raise EngineDisagreementError(pres.label or pres.text(), d, int(a), int(b))
-        return a
-    raise ValueError(f"unknown engine {engine!r}")
+    return GradedQuotient(pres, engine, max(d, bound or 0)).normal_form(f).is_zero()
 
 
 def normal_form(f: FreeElement, pres: Presentation, bound: int | None = None) -> FreeElement:
     """Deglex normal form of f modulo the truncated rewriting system."""
-    pres.require_field()
-    if f.is_zero():
-        return f
     d = f.require_homogeneous("normal form")
-    return gb_engine(pres, max(d, bound or 0)).normal_form(f)
+    return GradedQuotient(pres, "gb", max(d, bound or 0)).normal_form(f)

@@ -4,8 +4,8 @@ Rules rewrite a deglex-leading word to a strictly smaller tail.  Completion
 resolves every overlap and inclusion ambiguity whose ambiguity word has
 degree <= bound; the graded diamond lemma then makes every normal form of
 degree <= bound unique, and the normal words of degree d <= bound count
-the quotient dimension in that degree.  Normal words are counted with a
-suffix-automaton walk over the lead set, so no basis is materialized.
+the quotient dimension in that degree.  Normal words are listed degree by
+degree, each degree extending the one below by a letter, and cached.
 
 All relations here are homogeneous, so every queued S-polynomial has a
 fixed degree and the queue can be processed in (degree, insertion) order,
@@ -29,7 +29,7 @@ class GBState:
         self.bound = bound
         self.rules: dict[tuple, FreeElement] = {}  # lead word -> tail element
         self.log: list[tuple] = []  # processed ambiguities (lead1, lead2, word)
-        self._dims: list[int] | None = None
+        self._words: list[list[tuple]] = [[()]]  # normal words by degree
         self._complete()
 
     # -- reduction ---------------------------------------------------------
@@ -159,78 +159,36 @@ class GBState:
                 if hit:
                     self.rules[other] = self.normal_form(otail)
             self._enqueue_overlaps(lead, queue)
-        self._dims = None
 
-    # -- normal word counting ----------------------------------------------------
+    # -- normal words ------------------------------------------------------------
 
     def dims(self, bound: int) -> list[int]:
-        if bound > self.bound:
-            raise ValueError("dims beyond completion bound")
-        if self._dims is not None and len(self._dims) > bound:
-            return self._dims[: bound + 1]
-        n = self.pres.ctx.n
-        leads = list(self.rules)
-        prefixes = {()}
-        for lead in leads:
-            for k in range(1, len(lead)):
-                prefixes.add(lead[:k])
-        states = sorted(prefixes, key=word_key)
-        index = {s: i for i, s in enumerate(states)}
-
-        def longest_suffix_state(w: tuple):
-            for start in range(len(w)):
-                if w[start:] in index:
-                    return index[w[start:]]
-            return index[()]
-
-        trans: list[list[int | None]] = []
-        for s in states:
-            row: list[int | None] = []
-            for a in range(n):
-                w = s + (a,)
-                dead = any(w[len(w) - len(l) :] == l for l in leads if len(l) <= len(w))
-                row.append(None if dead else longest_suffix_state(w))
-            trans.append(row)
-
-        counts = [0] * len(states)
-        counts[index[()]] = 1
-        dims = [1]
-        for _ in range(bound):
-            nxt = [0] * len(states)
-            for i, c in enumerate(counts):
-                if not c:
-                    continue
-                for a in range(n):
-                    t = trans[i][a]
-                    if t is not None:
-                        nxt[t] += c
-            counts = nxt
-            dims.append(sum(counts))
-        self._dims = dims
-        return dims
+        """Quotient dimensions up to bound: the numbers of normal words."""
+        self.normal_words(bound)
+        return [len(words) for words in self._words[: bound + 1]]
 
     def leading_words(self) -> list[tuple]:
         return sorted(self.rules, key=word_key)
 
     def normal_words(self, d: int) -> list[tuple]:
-        """Words of degree d avoiding every lead, in deglex order."""
+        """Words of degree d avoiding every lead, in deglex order.
+
+        A prefix of a normal word is normal, so degree d extends the normal
+        words of degree d-1 by one letter and checks only the new suffixes.
+        The lists are cached; callers must not mutate them.
+        """
         if d > self.bound:
             raise ValueError("normal words beyond completion bound")
-        n = self.pres.ctx.n
-        leads = list(self.rules)
-        out: list[tuple] = []
-
-        def extend(w: tuple) -> None:
-            if len(w) == d:
-                out.append(w)
-                return
-            for a in range(n):
-                nw = w + (a,)
-                if any(
-                    nw[len(nw) - len(l) :] == l for l in leads if len(l) <= len(nw)
-                ):
-                    continue
-                extend(nw)
-
-        extend(())
-        return out
+        rules = self.rules
+        lengths = {len(lead) for lead in rules}
+        letters = range(self.pres.ctx.n)
+        while len(self._words) <= d:
+            self._words.append(
+                [
+                    nw
+                    for w in self._words[-1]
+                    for nw in (w + (a,) for a in letters)
+                    if not any(nw[-k:] in rules for k in lengths)
+                ]
+            )
+        return self._words[d]

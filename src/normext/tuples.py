@@ -221,16 +221,6 @@ class SolutionFamily:
             for ci in range(len(other.cosets))
         )
 
-    def size_note(self) -> str:
-        bits = []
-        if len(self.cosets) > 1:
-            bits.append(f"{len(self.cosets)} torsion cosets")
-        if self.directions:
-            bits.append(
-                "free " + ", ".join(sym for sym, _ in self.directions)
-            )
-        return "; ".join(bits)
-
     def to_json(self, conductor: int = 1) -> dict:
         return {
             "params": list(self.params),

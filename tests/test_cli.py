@@ -60,6 +60,10 @@ def test_input_errors_exit_two(capsys):
         ["family-probe", W_POLY, "--omit", "1"],
         ["family-probe", W_POLY, "--engine", "both"],
         ["zhang", W_POLY, "--omit", "1", "--p", "1,1,1", "--sigma", "2,1,1", "--bound", "9"],
+        # no option is read as the prefix of a longer one
+        ["family-probe", W_POLY, "--p", "1,1,1"],
+        ["verify", W_POLY, "--om", "1", "--p", "1,1,1", "--bou", "4", "--eng", "gb"],
+        ["hilbert", W_POLY, "--gb"],
     ],
 )
 def test_options_a_command_ignores_are_rejected(argv, capsys):
@@ -68,11 +72,25 @@ def test_options_a_command_ignores_are_rejected(argv, capsys):
     assert "unrecognized arguments" in err or "invalid choice" in err
 
 
-def test_verify_both_engines_matches_gb(capsys):
+@pytest.mark.parametrize("engine", ["la", "both"])
+def test_verify_matches_gb(engine, capsys):
     args = ["verify", W_POLY, "--omit", "1", "--p", "1,1,1", "--bound", "5"]
     code_gb, out_gb = run_cli(capsys, *args, "--engine", "gb")
-    code_both, out_both = run_cli(capsys, *args, "--engine", "both")
-    assert (code_both, out_both) == (code_gb, out_gb) and code_gb == 0
+    code, out = run_cli(capsys, *args, "--engine", engine)
+    assert (code, out) == (code_gb, out_gb) and code_gb == 0
+
+
+@pytest.mark.parametrize("where", ["alg_file", "p_option"])
+def test_zero_denominator_is_an_input_error(where, tmp_path, capsys):
+    if where == "alg_file":
+        alg = tmp_path / "zero.alg"
+        alg.write_text("algebra zero\nfield cyclotomic 1\ngens x, y\nw = 1/0*x*y*x - y*x*y ;\n")
+        argv = ["verify", str(alg), "--omit", "1", "--p", "1,1"]
+    else:
+        argv = ["verify", W_POLY, "--omit", "1", "--p", "1,1/0,1"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero denominator" in err
 
 
 def test_solve_tuples_table_row(capsys):

@@ -5,11 +5,14 @@ from math import comb
 import pytest
 
 from conftest import field_instances, field_w, parse_tuple
-from normext.certify import build_extension
+from normext import quotient
+from normext.certify import build_extension, full_certificate
 from normext.dsl import parse_poly
 from normext.freealg import CoefficientModeError, Context, FreeElement
 from normext.linalg import ResourceLimitError
 from normext.quotient import (
+    EngineDisagreementError,
+    GradedQuotient,
     LinearEngine,
     Presentation,
     hilbert_table,
@@ -17,6 +20,7 @@ from normext.quotient import (
     membership,
     normal_form,
 )
+from normext.rewriting import GBState
 from normext.superpotential import Superpotential, cyclic_derivatives
 
 CTX = Context(("x", "y", "z"), 1)
@@ -129,16 +133,12 @@ def test_resource_limit_is_loud():
 
 
 def test_normal_form_beyond_bound_rejected():
-    from normext.rewriting import GBState
-
     gb = GBState(A_POLY, 3)
     with pytest.raises(ValueError):
         gb.dims(5)
 
 
 def test_gb_state_is_deterministic():
-    from normext.rewriting import GBState
-
     a = GBState(A_POLY, 6)
     b = GBState(Presentation(CTX, RELS, label="poly3"), 6)
     assert a.leading_words() == b.leading_words()
@@ -184,3 +184,47 @@ def test_standard_word_pruning_keeps_every_level(corpus_entries):
             assert got.rank == want.rank, (pres.label, d)
             assert set(got.pivots) == set(want.pivots), (pres.label, d)
             assert got.pivots == want.pivots, (pres.label, d)
+
+
+def test_engines_agree_on_normal_words_and_forms(corpus_entries):
+    """The LA pivots are the deglex leading words, so the standard words are
+    the GB normal words and the two normal forms agree term by term."""
+    for pres, bound in corpus_presentations(corpus_entries):
+        bound -= 1  # m + 2
+        la, gb = LinearEngine(pres), GBState(pres, bound)
+        for d in range(bound + 1):
+            assert la.normal_words(d) == gb.normal_words(d), (pres.label, d)
+            for word in product(range(pres.ctx.n), repeat=d):
+                f = FreeElement.monomial(pres.ctx, word)
+                assert la.normal_form(f) == gb.normal_form(f), (pres.label, word)
+
+
+def w_poly_extension(corpus_entries):
+    entry = corpus_entries["w_poly"]
+    return build_extension(Superpotential(field_w(entry)), parse_tuple("1,1,1", 12), 0)
+
+
+def test_la_certificate_builds_no_rewriting_system(corpus_entries, monkeypatch):
+    spec = w_poly_extension(corpus_entries)
+    want = full_certificate(spec, bound=5, engine="gb").dumps()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the la engine built a rewriting system")
+
+    monkeypatch.setattr(quotient, "_GB_CACHE", {})
+    monkeypatch.setattr(GBState, "__init__", refuse)
+    assert full_certificate(spec, bound=5, engine="la").dumps() == want
+
+
+def test_both_engines_catch_a_perturbed_la_normal_form(corpus_entries, monkeypatch):
+    honest = LinearEngine.normal_form
+
+    def doubled(self, f):
+        nf = honest(self, f)
+        return nf + nf
+
+    monkeypatch.setattr(LinearEngine, "normal_form", doubled)
+    with pytest.raises(EngineDisagreementError):
+        GradedQuotient(A_POLY, "both", 3).normal_form(parse_poly("y*x*x", CTX))
+    with pytest.raises(EngineDisagreementError):
+        full_certificate(w_poly_extension(corpus_entries), bound=5, engine="both")

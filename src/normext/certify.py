@@ -375,13 +375,14 @@ def _graded_map_rows(quot, entries, shifts_src, shifts_tgt, deg):
         words = quot.normal_words(d_src)
         src_dim += len(words)
         for u in words:
-            mono = FreeElement.monomial(ctx, u)
             row: dict = {}
             for t, _b_t in enumerate(shifts_tgt):
                 ent = entries[s][t]
                 if ent is None or ent.is_zero():
                     continue
-                img = quot.normal_form(mono * ent)
+                prod = FreeElement(ctx)
+                prod.terms = {u + w: c for w, c in ent.terms.items()}
+                img = quot.normal_form(prod)
                 for wd, c in img.terms.items():
                     row[(t, word_key(wd))] = c
             if row:

@@ -52,7 +52,6 @@ INPUT_ERRORS = (
     AlgebraError,
     TwistError,
     ResourceLimitError,
-    ValueError,
 )
 
 
@@ -242,7 +241,10 @@ def load_corpus(dirpath: Path) -> list[CorpusEntry]:
         if not sidecar.exists():
             raise DslError(f"missing sidecar for corpus entry {alg.name}")
         with open(sidecar, "r", encoding="utf-8") as fh:
-            expect = json.load(fh)
+            try:
+                expect = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise DslError(f"corpus sidecar {sidecar.name}: {e}") from None
         entries.append(CorpusEntry(alg.stem, parse_algebra_file(alg), expect))
     if not entries:
         raise DslError(f"no corpus entries found in {dirpath}")
@@ -278,6 +280,8 @@ def tables_report(corpus_dir: Path) -> tuple[dict, bool]:
         sp = _symbolic_superpotential(af, None)
         digest = w_hash(sp.w)
         good = entry.expect.get("good", {})
+        if not all(k.isdigit() for k in good):
+            raise DslError(f"corpus sidecar of {entry.name}: 'good' keys must be indices")
         ks = sorted(int(k) for k in good) if good else list(range(1, sp.n + 1))
         entry_rows = []
         for k in ks:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import Context, FreeElement, word_key
-from .scalars import Assignment, Scalar, UnitScalar
+from .scalars import MAX_CONDUCTOR, Assignment, Scalar, UnitScalar
 
 _TOKEN_RE = re.compile(
     r"""
@@ -401,6 +401,8 @@ def parse_algebra(text: str) -> AlgebraFile:
     if ntok.kind != "num":
         raise DslError("expected conductor", ntok.line, ntok.col)
     conductor = int(ntok.text)
+    if not 1 <= conductor <= MAX_CONDUCTOR:
+        raise DslError(f"conductor must lie in 1..{MAX_CONDUCTOR}", ntok.line, ntok.col)
 
     params: list[str] = []
     raw_assigns: list[tuple[str, Fraction | None]] = []  # (target, root-exp) placeholders

@@ -238,7 +238,8 @@ class LinearEngine:
     def normal_form(self, f: FreeElement) -> FreeElement:
         """f fully reduced against the echelon basis of its degree."""
         d = f.require_homogeneous("normal form")
-        row = {self.codec.encode(w): c for w, c in f.terms.items()}
+        n = self.pres.ctx.conductor
+        row = {self.codec.encode(w): c.promote(n) for w, c in f.terms.items()}
         return self._element(self._level(d).normal_form(row), d)
 
     def ideal_basis(self, d: int) -> list[FreeElement]:

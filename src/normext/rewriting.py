@@ -1,23 +1,37 @@
 """Truncated noncommutative Buchberger completion (diamond lemma engine).
 
 Rules rewrite a deglex-leading word to a strictly smaller tail.  Completion
-resolves every overlap and inclusion ambiguity whose ambiguity word has
-degree <= bound; the graded diamond lemma then makes every normal form of
-degree <= bound unique, and the normal words of degree d <= bound count
-the quotient dimension in that degree.  Normal words are listed degree by
-degree, each degree extending the one below by a letter, and cached.
+resolves every overlap ambiguity whose ambiguity word has degree <= bound;
+the graded diamond lemma then makes every normal form of degree <= bound
+unique, and the normal words of degree d <= bound count the quotient
+dimension in that degree.  Normal words are listed degree by degree, each
+degree extending the one below by a letter, and cached.
 
 All relations here are homogeneous, so every queued S-polynomial has a
-fixed degree and the queue can be processed in (degree, insertion) order,
-making the computed system deterministic for a fixed input.
+fixed degree and the queue is processed in (degree, insertion) order,
+making the computed system deterministic for a fixed input.  That order
+also keeps the leads an antichain: a new lead is a normal word no shorter
+than any stored lead, so no lead contains another and no inclusion
+ambiguity arises.
+
+The read side relies on both facts.  At most one lead starts at any
+position of a word, so the leftmost occurrence is one dict lookup per
+distinct lead length.  Words of different degrees never meet and, within
+one degree, tuple order is deglex order, so a normal form rewrites the
+tuple-largest word left and adds each tail term with one ``sc_fms``.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .freealg import FreeElement, word_key
+from .freealg import AlgebraError, FreeElement, word_key
 from .quotient import Presentation
+from .scalars import sc_fms
+
+
+class CompletionBoundError(AlgebraError):
+    """Normal words asked for above the degree the system is completed to."""
 
 
 class GBState:
@@ -29,49 +43,56 @@ class GBState:
         self.bound = bound
         self.rules: dict[tuple, FreeElement] = {}  # lead word -> tail element
         self.log: list[tuple] = []  # processed ambiguities (lead1, lead2, word)
+        self._lengths: list[int] = []  # distinct lead lengths, ascending
         self._words: list[list[tuple]] = [[()]]  # normal words by degree
         self._complete()
 
     # -- reduction ---------------------------------------------------------
 
     def _find_occurrence(self, word: tuple):
-        """Leftmost occurrence of any rule lead inside word, smallest lead first."""
-        for pos in range(len(word)):
-            best = None
-            for lead in self.rules:
-                L = len(lead)
-                if pos + L <= len(word) and word[pos : pos + L] == lead:
-                    if best is None or word_key(lead) < word_key(best):
-                        best = lead
-            if best is not None:
-                return pos, best
+        """Leftmost occurrence of a rule lead inside word.
+
+        The leads form an antichain (see ``_complete``), so at most one lead
+        starts at any position and one dict lookup per lead length finds it.
+        """
+        rules = self.rules
+        end = len(word)
+        for pos in range(end):
+            for length in self._lengths:
+                if pos + length > end:
+                    break
+                lead = word[pos : pos + length]
+                if lead in rules:
+                    return pos, lead
         return None
 
     def normal_form(self, f: FreeElement) -> FreeElement:
+        """Deglex normal form of f.
+
+        The rules are homogeneous, so words of different degrees never meet,
+        and within one degree tuple order is deglex order: each step rewrites
+        the largest word left, with its full coefficient, and every word it
+        produces is smaller, so no word is rewritten twice.
+        """
         ctx = self.pres.ctx
-        work = dict(f.terms)
+        n = ctx.conductor
+        rules = self.rules
+        work = {w: c.promote(n) for w, c in f.terms.items() if c}
         out: dict = {}
         while work:
-            word = max(work, key=word_key)
+            word = max(work)
             coeff = work.pop(word)
             occ = self._find_occurrence(word)
             if occ is None:
-                prev = out.get(word)
-                s = prev + coeff if prev is not None else coeff
-                if s.is_zero():
-                    out.pop(word, None)
-                else:
-                    out[word] = s
+                out[word] = coeff
                 continue
             pos, lead = occ
-            tail = self.rules[lead]
             u, v = word[:pos], word[pos + len(lead) :]
-            for tw, tc in tail.terms.items():
+            neg = -coeff
+            for tw, tc in rules[lead].terms.items():
                 nw = u + tw + v
-                add = coeff * tc
-                prev = work.get(nw)
-                s = prev + add if prev is not None else add
-                if s.is_zero():
+                s = sc_fms(work.get(nw), neg, tc)
+                if s is None:
                     work.pop(nw, None)
                 else:
                     work[nw] = s
@@ -88,10 +109,6 @@ class GBState:
         tail = FreeElement(self.pres.ctx)
         tail.terms = {w: -(c * inv) for w, c in f.terms.items() if w != lead}
         return lead, tail
-
-    def _element_of(self, lead: tuple, tail: FreeElement) -> FreeElement:
-        el = FreeElement.monomial(self.pres.ctx, lead) - tail
-        return el
 
     def _enqueue_overlaps(self, lead: tuple, queue) -> None:
         ctx = self.pres.ctx
@@ -132,21 +149,11 @@ class GBState:
             lead, tail = self._rule_from(reduced)
             if len(lead) > self.bound:
                 continue
-            # keep the lead set an antichain: displace rules containing lead
-            displaced = []
-            for other in list(self.rules):
-                if other == lead:
-                    continue
-                if len(other) >= len(lead) and any(
-                    other[i : i + len(lead)] == lead for i in range(len(other) - len(lead) + 1)
-                ):
-                    displaced.append(other)
-            for other in displaced:
-                otail = self.rules.pop(other)
-                heapq.heappush(
-                    queue, (len(other), self._tick(), None, self._element_of(other, otail))
-                )
+            # The queue pops in degree order, so every stored lead is no
+            # longer than this one, and this one is a normal word: no lead
+            # contains another, and at most one starts at any position.
             self.rules[lead] = tail
+            self._lengths = sorted({len(other) for other in self.rules})
             # re-normalize stored tails that the new lead makes reducible
             for other, otail in list(self.rules.items()):
                 if other == lead:
@@ -178,9 +185,11 @@ class GBState:
         The lists are cached; callers must not mutate them.
         """
         if d > self.bound:
-            raise ValueError("normal words beyond completion bound")
+            raise CompletionBoundError(
+                f"normal words of degree {d} beyond completion bound {self.bound}"
+            )
         rules = self.rules
-        lengths = {len(lead) for lead in rules}
+        lengths = self._lengths
         letters = range(self.pres.ctx.n)
         while len(self._words) <= d:
             self._words.append(

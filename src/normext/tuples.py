@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dsl import print_poly, unit_text
-from .freealg import FreeElement
+from .freealg import AlgebraError, FreeElement
 from .linalg import diagonalize_integer_matrix, solve
 from .scalars import Scalar, UnitScalar, unit_from_scalar
 from .superpotential import (
@@ -365,10 +365,10 @@ class GoodnessResult:
 def is_good(sp: Superpotential, k: int, p) -> GoodnessResult:
     """Monomial-product criterion with a failing-monomial witness."""
     if len(p) != sp.n:
-        raise ValueError("tuple length must match generator count")
+        raise AlgebraError("tuple length must match generator count")
     qk = sp.twist.scales[k]
     if p[k] != qk:
-        raise ValueError(f"p_{k + 1} must equal q_{k + 1} (got {p[k]}, need {qk})")
+        raise AlgebraError(f"p_{k + 1} must equal q_{k + 1} (got {p[k]}, need {qk})")
     phi = DiagonalMap(sp.ctx, p)
     try:
         value = eigen_scale(phi, sp.w)

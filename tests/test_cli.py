@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import normext
+from normext import cli
 from normext.cli import default_corpus_path, run
 
 CORPUS = default_corpus_path()
@@ -91,6 +92,31 @@ def test_zero_denominator_is_an_input_error(where, tmp_path, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "zero denominator" in err
+
+
+@pytest.mark.parametrize("case", ["conductor", "sidecar_json", "sidecar_key"])
+def test_malformed_input_files_are_input_errors(case, tmp_path, capsys):
+    alg = tmp_path / "w.alg"
+    if case == "conductor":
+        alg.write_text("algebra zero\nfield cyclotomic 0\ngens x, y\nw = x*y*x - y*x*y ;\n")
+        argv = ["hilbert", str(alg)]
+    else:
+        alg.write_text(Path(W_POLY).read_text())
+        sidecar = "{bad" if case == "sidecar_json" else json.dumps({"good": {"one": []}})
+        (tmp_path / "w.expect.json").write_text(sidecar)
+        argv = ["tables", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_internal_value_error_is_not_input_feedback(monkeypatch, capsys):
+    def broken(*_args, **_kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(cli, "full_certificate", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        run(["verify", W_POLY, "--omit", "1", "--p", "1,1,1"])
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_tuples_table_row(capsys):

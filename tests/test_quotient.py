@@ -3,12 +3,14 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import field_instances, field_w, parse_tuple
 from normext import quotient
 from normext.certify import build_extension, full_certificate
 from normext.dsl import parse_poly
-from normext.freealg import CoefficientModeError, Context, FreeElement
+from normext.freealg import CoefficientModeError, Context, FreeElement, word_key
 from normext.linalg import ResourceLimitError
 from normext.quotient import (
     EngineDisagreementError,
@@ -20,7 +22,8 @@ from normext.quotient import (
     membership,
     normal_form,
 )
-from normext.rewriting import GBState
+from normext.rewriting import CompletionBoundError, GBState
+from normext.scalars import Scalar, cyclotomic_poly
 from normext.superpotential import Superpotential, cyclic_derivatives
 
 CTX = Context(("x", "y", "z"), 1)
@@ -101,8 +104,6 @@ def test_membership_is_linear_randomized():
     for _ in range(10):
         f = basis[rng.randrange(len(basis))]
         g = basis[rng.randrange(len(basis))]
-        from normext.scalars import Scalar
-
         c = Scalar.from_rational(rng.randint(1, 5))
         assert membership(f + g.scale(c), A_POLY, engine="both")
 
@@ -134,7 +135,7 @@ def test_resource_limit_is_loud():
 
 def test_normal_form_beyond_bound_rejected():
     gb = GBState(A_POLY, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(CompletionBoundError):
         gb.dims(5)
 
 
@@ -172,6 +173,12 @@ def corpus_presentations(entries):
     return out
 
 
+@pytest.fixture(scope="module")
+def completed(corpus_entries):
+    """Every corpus presentation completed at m+2."""
+    return [GBState(pres, bound - 1) for pres, bound in corpus_presentations(corpus_entries)]
+
+
 def test_standard_word_pruning_keeps_every_level(corpus_entries):
     presentations = corpus_presentations(corpus_entries)
     assert len(presentations) == 29
@@ -186,13 +193,12 @@ def test_standard_word_pruning_keeps_every_level(corpus_entries):
             assert got.pivots == want.pivots, (pres.label, d)
 
 
-def test_engines_agree_on_normal_words_and_forms(corpus_entries):
+def test_engines_agree_on_normal_words_and_forms(completed):
     """The LA pivots are the deglex leading words, so the standard words are
     the GB normal words and the two normal forms agree term by term."""
-    for pres, bound in corpus_presentations(corpus_entries):
-        bound -= 1  # m + 2
-        la, gb = LinearEngine(pres), GBState(pres, bound)
-        for d in range(bound + 1):
+    for gb in completed:
+        pres, la = gb.pres, LinearEngine(gb.pres)
+        for d in range(gb.bound + 1):
             assert la.normal_words(d) == gb.normal_words(d), (pres.label, d)
             for word in product(range(pres.ctx.n), repeat=d):
                 f = FreeElement.monomial(pres.ctx, word)
@@ -228,3 +234,86 @@ def test_both_engines_catch_a_perturbed_la_normal_form(corpus_entries, monkeypat
         GradedQuotient(A_POLY, "both", 3).normal_form(parse_poly("y*x*x", CTX))
     with pytest.raises(EngineDisagreementError):
         full_certificate(w_poly_extension(corpus_entries), bound=5, engine="both")
+
+
+@pytest.mark.parametrize("engine", ["la", "gb", "both"])
+def test_normal_form_promotes_a_smaller_conductor(engine):
+    """A coefficient of Q inside an element over Q(zeta_3) is read at N=3."""
+    ctx = Context(("x", "y"), 3)
+    pres = Presentation(ctx, [parse_poly("y*x + z*x*y", ctx)], label="yx")
+    f = FreeElement.monomial(ctx, (1, 0), Scalar.from_rational(5))
+    nf = GradedQuotient(pres, engine, 3).normal_form(f)
+    assert nf == FreeElement.monomial(ctx, (0, 1), Scalar.from_rational(-5, 3) * Scalar.zeta(3))
+
+
+def reference_find_occurrence(state, word):
+    """The scan the dict lookup replaced: every lead at every position,
+    the smallest lead first among those starting at one position."""
+    for pos in range(len(word)):
+        best = None
+        for lead in state.rules:
+            if word[pos : pos + len(lead)] == lead:
+                if best is None or word_key(lead) < word_key(best):
+                    best = lead
+        if best is not None:
+            return pos, best
+    return None
+
+
+def reference_normal_form(state, f):
+    """The rewriting loop before the fused kernel op: the deglex-largest
+    word first, two scalar ops per tail term."""
+    work = dict(f.terms)
+    out = {}
+    while work:
+        word = max(work, key=word_key)
+        coeff = work.pop(word)
+        occ = reference_find_occurrence(state, word)
+        if occ is None:
+            s = out[word] + coeff if word in out else coeff
+            if s.is_zero():
+                out.pop(word, None)
+            else:
+                out[word] = s
+            continue
+        pos, lead = occ
+        u, v = word[:pos], word[pos + len(lead) :]
+        for tw, tc in state.rules[lead].terms.items():
+            nw = u + tw + v
+            add = coeff * tc
+            s = work[nw] + add if nw in work else add
+            if s.is_zero():
+                work.pop(nw, None)
+            else:
+                work[nw] = s
+    return out
+
+
+def exact_terms(terms):
+    return {w: (c.n, c.num, c.den) for w, c in terms.items()}
+
+
+def test_rule_leads_form_an_antichain(completed):
+    for gb in completed:
+        for lead in gb.rules:
+            for other in gb.rules:
+                if other != lead:
+                    starts = range(len(other) - len(lead) + 1)
+                    assert all(other[i : i + len(lead)] != lead for i in starts), (lead, other)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_rewriting_matches_the_reference_scan(completed, data):
+    for gb in completed:
+        ctx = gb.pres.ctx
+        words = st.lists(st.integers(0, ctx.n - 1), max_size=gb.bound).map(tuple)
+        dim = len(cyclotomic_poly(ctx.conductor)) - 1
+        scalars = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(
+            lambda c: Scalar(ctx.conductor, c)
+        )
+        for word in data.draw(st.lists(words, min_size=1, max_size=3)):
+            assert gb._find_occurrence(word) == reference_find_occurrence(gb, word)
+        f = FreeElement(ctx, data.draw(st.dictionaries(words, scalars, max_size=6)))
+        want = reference_normal_form(gb, f)
+        assert exact_terms(gb.normal_form(f).terms) == exact_terms(want), gb.pres.label

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement, word_key
 from .linalg import RowReducer
-from .quotient import GradedQuotient, Presentation, hilbert_table, membership
+from .quotient import GradedQuotient, Presentation
 from .superpotential import (
     DiagonalMap,
     NotEigenvectorError,
@@ -186,19 +186,21 @@ def predicted_dims(a_dims, m: int, bound: int) -> list[int]:
     ]
 
 
-def verify_hilbert(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tuple[dict, list]:
+def verify_hilbert(
+    spec: ExtensionSpec, A: GradedQuotient, D: GradedQuotient, bound: int
+) -> tuple[dict, list]:
     """Tables, defect e_k = d'_k - d_k, and derived z_k; pass iff e = 0."""
-    ta = hilbert_table(spec.A, bound, engine)
-    td = hilbert_table(spec.D, bound, engine)
-    pred = predicted_dims(ta.dims, spec.m, bound)
-    e = [pred[k] - td.dims[k] for k in range(bound + 1)]
+    dims_a = A.dims(bound)
+    dims_d = D.dims(bound)
+    pred = predicted_dims(dims_a, spec.m, bound)
+    e = [pred[k] - dims_d[k] for k in range(bound + 1)]
     if any(v < 0 for v in e):
         raise ResolutionDefect("negative Hilbert defect; engine inconsistency")
     z = [e[k + spec.m] - e[k] for k in range(bound - spec.m + 1)]
     first_defect = next((k for k, v in enumerate(e) if v), None)
     data = {
-        "A": list(ta.dims),
-        "D": list(td.dims),
+        "A": dims_a,
+        "D": dims_d,
         "predicted_D": pred,
     }
     diag = {"e": e, "z_from_e": z, "first_defect_degree": first_defect}
@@ -209,11 +211,10 @@ def verify_hilbert(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tuple
 # -- Omega: normality, centrality, regularity ---------------------------------
 
 
-def omega_certificate(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tuple[dict, list]:
+def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tuple[dict, list]:
     if bound < spec.m + 1:
         raise BuildError(f"bound {bound} too small; need at least m+1 = {spec.m + 1}")
     ctx = spec.ctx
-    quot = GradedQuotient(spec.D, engine, bound)
     xs = [FreeElement.gen(ctx, i) for i in range(spec.n)]
     omega = spec.omega
     q = spec.sp.twist.scales
@@ -223,22 +224,20 @@ def omega_certificate(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tu
     for i in range(spec.n):
         coeff = spec.p[i] if i != spec.k else q[spec.k]
         el = xs[i] * omega - omega.scale(coeff) * xs[i]
-        if not membership(el, spec.D, engine, bound):
+        if not D.contains(el):
             normal_ok = False
             normal_witness = ctx.gens[i]
             break
 
-    central = all(
-        membership(xs[i] * omega - omega * xs[i], spec.D, engine, bound) for i in range(spec.n)
-    )
+    central = all(D.contains(xs[i] * omega - omega * xs[i]) for i in range(spec.n))
 
     def kernel_dim(products) -> int:
-        return len(products) - RowReducer(quot.normal_form(f).terms for f in products).rank
+        return len(products) - RowReducer(D.normal_form(f).terms for f in products).rank
 
     right_kernels = []
     left_kernels = []
     for d in range(bound - spec.m + 1):
-        monos = [FreeElement.monomial(ctx, u) for u in quot.normal_words(d)]
+        monos = [FreeElement.monomial(ctx, u) for u in D.normal_words(d)]
         right_kernels.append(kernel_dim([u * omega for u in monos]))
         left_kernels.append(kernel_dim([omega * u for u in monos]))
 
@@ -289,9 +288,7 @@ class ResolutionData:
         pperm = [spec.p[perm[a]] for a in range(n)]
         f0 = spec.omega
         self.f = [spec.sp.f[perm[a]] for a in range(n)]
-        self.g = [
-            xs[a] * f0 - f0.scale(pperm[a]) * xs[a] for a in range(1, n)
-        ]  # the degree-(m+1) relations, permuted order
+        self.g = list(spec.commutators)  # the degree-(m+1) relations, permuted order
         # J_h: zero row on top of q_k * diag(p_i^{-1});  J_v: zero column then diag(p_i)
         self.Jh = [[None] * (n - 1) for _ in range(n)]
         for a in range(1, n):
@@ -359,10 +356,6 @@ class ResolutionData:
         return out
 
 
-def build_resolution(spec: ExtensionSpec) -> ResolutionData:
-    return ResolutionData(spec)
-
-
 def _graded_map_rows(quot, entries, shifts_src, shifts_tgt, deg):
     """Rows of the degree-deg block of a right-multiplication map."""
     ctx = quot.pres.ctx
@@ -390,23 +383,21 @@ def _graded_map_rows(quot, entries, shifts_src, shifts_tgt, deg):
     return rows, src_dim
 
 
-def resolution_certificate(
-    res: ResolutionData, spec: ExtensionSpec, bound: int, engine: str = "gb"
-) -> tuple[dict, list]:
+def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tuple[dict, list]:
     ctx = spec.ctx
     n = spec.n
     m = spec.m
-    quot = GradedQuotient(spec.D, engine, bound)
+    res = ResolutionData(spec)  # raises ResolutionDefect unless the identities hold
 
     # (a) complex property: every entry of M_l M_r lies in the ideal
     bad_entries = []
     for a, b, ent in res.product_entries():
-        if not membership(ent, spec.D, engine, bound):
+        if not D.contains(ent):
             bad_entries.append([res.perm[a] + 1, res.perm[b] + 1])
     complex_ok = not bad_entries
 
     # (b) Euler residuals from the graded dimensions
-    dims = quot.dims(bound)
+    dims = D.dims(bound)
 
     def dd(j: int) -> int:
         return dims[j] if 0 <= j <= bound else 0
@@ -435,10 +426,10 @@ def resolution_certificate(
     exact_witness = None
     rank_rows = []
     for deg in range(bound + 1):
-        rows4, dim4 = _graded_map_rows(quot, e43, shifts_p4, shifts_p3, deg)
-        rows3, dim3 = _graded_map_rows(quot, res.Ml, shifts_p3, shifts_p2, deg)
-        rows2, dim2 = _graded_map_rows(quot, res.Mr, shifts_p2, shifts_p1, deg)
-        rows1, dim1 = _graded_map_rows(quot, e10, shifts_p1, [0], deg)
+        rows4, dim4 = _graded_map_rows(D, e43, shifts_p4, shifts_p3, deg)
+        rows3, dim3 = _graded_map_rows(D, res.Ml, shifts_p3, shifts_p2, deg)
+        rows2, dim2 = _graded_map_rows(D, res.Mr, shifts_p2, shifts_p1, deg)
+        rows1, dim1 = _graded_map_rows(D, e10, shifts_p1, [0], deg)
         r4, r3, r2, r1 = (RowReducer(r).rank for r in (rows4, rows3, rows2, rows1))
         conds = {
             "P4_injective": r4 == dim4,
@@ -459,6 +450,7 @@ def resolution_certificate(
 
     diag = {"euler_residuals": residuals, "rank_profile": rank_rows}
     checks = [
+        Check("resolution_identities", True),
         Check("complex_property", complex_ok, witness=bad_entries or None),
         Check(
             "euler_residuals",
@@ -475,7 +467,7 @@ def resolution_certificate(
 # -- Nakayama and homological determinant ------------------------------------------
 
 
-def nakayama(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tuple[dict, list, DiagonalMap]:
+def nakayama(spec: ExtensionSpec, D: GradedQuotient) -> tuple[dict, list]:
     ctx = spec.ctx
     q = spec.sp.twist.scales
     nu = DiagonalMap(ctx, [(spec.p[i] * q[i]).inv() for i in range(spec.n)])
@@ -508,9 +500,7 @@ def nakayama(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tuple[dict,
     # tau conjugation: Omega x = tau(x) Omega holds in D
     xs = [FreeElement.gen(ctx, i) for i in range(spec.n)]
     tau_ok = all(
-        membership(
-            spec.omega * xs[i] - (xs[i] * spec.omega).scale(spec.p[i].inv()), spec.D, engine, bound
-        )
+        D.contains(spec.omega * xs[i] - (xs[i] * spec.omega).scale(spec.p[i].inv()))
         for i in range(spec.n)
     )
 
@@ -530,7 +520,7 @@ def nakayama(spec: ExtensionSpec, bound: int, engine: str = "gb") -> tuple[dict,
         Check("tau_conjugation", tau_ok),
         Check("nakayama_tau_compatibility", nu_a_ok and commute_ok),
     ]
-    return data, checks, nu
+    return data, checks
 
 
 def hdet_certificate(spec: ExtensionSpec) -> tuple[dict, list]:
@@ -587,12 +577,17 @@ def full_certificate(
         witness=None if good.ok else good.detail,
     )
 
-    hil, checks = verify_hilbert(spec, bound, engine)
+    A = GradedQuotient(spec.A, engine, bound)
+    # Every membership has degree m+1 (normality, centrality, tau) or 2m-1
+    # (entries of M_l M_r), and rewriting normal forms are unique only up
+    # to the completion degree, so D is completed to cover both.
+    D = GradedQuotient(spec.D, engine, max(bound, 2 * spec.m - 1))
+    hil, checks = verify_hilbert(spec, A, D, bound)
     cert.tables.update(hil["tables"])
     cert.diagnostics.update(hil["diagnostics"])
     cert.checks.extend(checks)
 
-    om, checks = omega_certificate(spec, bound, engine)
+    om, checks = omega_certificate(spec, D, bound)
     cert.diagnostics.update(om["diagnostics"])
     cert.checks.extend(checks)
 
@@ -605,15 +600,13 @@ def full_certificate(
         witness=None if z_e[: len(z_k)] == z_k else {"from_e": z_e, "kernels": z_k},
     )
 
-    res = build_resolution(spec)
-    cert.add("resolution_identities", True)
-    rc, checks = resolution_certificate(res, spec, bound, engine)
+    rc, checks = resolution_certificate(spec, D, bound)
     cert.diagnostics.update(rc["diagnostics"])
     cert.checks.extend(checks)
 
     core_ok = cert.passed
     if core_ok:
-        nk, checks, _nu = nakayama(spec, bound, engine)
+        nk, checks = nakayama(spec, D)
         cert.nakayama = nk["nakayama"]
         cert.diagnostics["tau"] = nk["tau"]
         cert.diagnostics["nakayama_omega_eigenvalue"] = nk["omega_eigenvalue"]

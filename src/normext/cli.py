@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .certify import (
-    BuildError,
     build_extension,
     default_bound,
     full_certificate,
@@ -32,12 +31,11 @@ from .dsl import (
 from .family import flatness_probe, zhang_certificate
 from .freealg import AlgebraError, Context
 from .linalg import ResourceLimitError
-from .quotient import DegreeTable, Presentation, hilbert_table
-from .scalars import ScalarError, SpecializeError, UnitScalar
+from .quotient import Presentation, hilbert_table
+from .scalars import ScalarError, UnitScalar
 from .superpotential import (
     DiagonalMap,
     Superpotential,
-    TwistError,
     superpotential_from_relations,
 )
 from .tuples import SolutionFamily, SolveError, goodness_system, solve_units, w_hash
@@ -46,11 +44,8 @@ INPUT_ERRORS = (
     DslError,
     OSError,
     SolveError,
-    BuildError,
-    SpecializeError,
     ScalarError,
     AlgebraError,
-    TwistError,
     ResourceLimitError,
 )
 
@@ -163,16 +158,7 @@ def cmd_hilbert(args) -> int:
         pres = Presentation(sp.ctx, sp.f, label=f"A({af.name})")
     bound = args.bound if args.bound is not None else default_bound(sp.m)
     table = hilbert_table(pres, bound, args.engine)
-    out = table.to_json()
-    if args.gb_log and args.engine in ("gb", "both"):
-        from .quotient import gb_engine
-
-        gb = gb_engine(pres, bound)
-        out["gb_log"] = {
-            "leading_words": ["*".join(pres.ctx.gens[i] for i in w) for w in gb.leading_words()],
-            "ambiguities_processed": len(gb.log),
-        }
-    _emit(out, args.format, tsv=table.to_tsv())
+    _emit(table.to_json(), args.format, tsv=table.to_tsv())
     return 0
 
 
@@ -287,9 +273,10 @@ def tables_report(corpus_dir: Path) -> tuple[dict, bool]:
         for k in ks:
             fams = solve_units(goodness_system(sp, k - 1), digest)
             listed = good.get(str(k), [])
+            targets = [_parse_listed_tuple(rep, af.conductor, af.params) for rep in listed]
+            listed_families = sum(isinstance(t, SolutionFamily) for t in targets)
             verdicts = []
-            for rep in listed:
-                target = _parse_listed_tuple(rep, af.conductor, af.params)
+            for rep, target in zip(listed, targets):
                 if isinstance(target, SolutionFamily):
                     ok = any(f.contains_family(target) for f in fams)
                 else:
@@ -299,9 +286,6 @@ def tables_report(corpus_dir: Path) -> tuple[dict, bool]:
                     all_ok = False
             surplus = []
             for f in fams:
-                listed_families = sum(
-                    1 for rep in listed if isinstance(_parse_listed_tuple(rep, af.conductor, af.params), SolutionFamily)
-                )
                 if len(f.cosets) > max(1, len(listed) - listed_families):
                     surplus.append(
                         f"computed family has {len(f.cosets)} torsion cosets; row lists {len(listed)} representatives"
@@ -362,11 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and certify normal/central extensions of superpotential algebras.",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
+
+    def bound(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"degree bound must be >= 0, got {value}")
+        return value
+
     # each subcommand accepts exactly the options it reads
     options = {
         "omit": ("--omit", dict(type=int, default=None, help="omitted relation index k (1-based)")),
         "p": ("--p", dict(default=None, help="comma-separated tuple of scalars")),
-        "bound": ("--bound", dict(type=int, default=None, help="degree bound (default 2m+4)")),
+        "bound": ("--bound", dict(type=bound, default=None, help="degree bound (default 2m+4)")),
         "engine": (
             "--engine",
             dict(choices=["la", "gb", "both"], default="both", help="dimension engine"),
@@ -387,11 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     command("derive", "print derivative bundles and the twist")
     command("solve-tuples", "solve the multiplicative conditions", "omit")
     command("build-extension", "print the extension presentation", "omit", "p")
-    hil = command("hilbert", "graded dimension table", "omit", "p", "bound", "engine", "format")
-    hil.add_argument("--gb-log", action="store_true", help="include rewriting-system debug info")
+    command("hilbert", "graded dimension table", "omit", "p", "bound", "engine", "format")
     command("verify", "full certificate for one instance", "omit", "p", "bound", "engine")
     probe = command("family-probe", "flat-family Hilbert sampling", "format")
-    probe.add_argument("--bound", type=int, default=6, help="degree bound (default 6)")
+    probe.add_argument("--bound", type=bound, default=6, help="degree bound (default 6)")
     probe.add_argument("--engine", choices=["la", "gb"], default="gb", help="dimension engine")
     probe.add_argument("--points", default=None, help='semicolon-separated points "1,0,0;1,1,1"')
     zh = command("zhang", "twist-compatibility certificate", "omit", "p")

@@ -54,13 +54,26 @@ class RowReducer:
         return work
 
     def normal_form(self, row: dict) -> dict:
-        """Reduce every term of row, so that no key of the result is a pivot."""
+        """Reduce every term of row, so that no key of the result is a pivot:
+        as ``reduce``, but a lead without a pivot moves to the result."""
         out = {}
-        work = self.reduce(row)
+        work = dict(row)
+        get_piv = self.pivots.get
         while work:
             lead = max(work)
-            out[lead] = work.pop(lead)
-            work = self.reduce(work)
+            c = work.pop(lead)
+            piv = get_piv(lead)
+            if piv is None:
+                out[lead] = c
+                continue
+            for k, v in piv.items():
+                if k == lead:
+                    continue
+                nv = sc_fms(work.get(k), c, v)
+                if nv is None:
+                    work.pop(k, None)
+                else:
+                    work[k] = nv
         return out
 
     def insert(self, row: dict) -> bool:

@@ -12,14 +12,17 @@ normal forms:
   same-degree words), so only the relation-tail rows need reduction, and
   there are |R| * dim A_k of them instead of |R| * n^k.  Normal words are
   the standard words, and a normal form is a full reduction against the
-  echelon basis.
+  echelon basis.  Rows are keyed by ``word_code``, the bijective base-n
+  numeral of a word: integer keys sort in deglex order, and prefixing a
+  letter or appending a word is integer arithmetic on the key.
 * ``GBState`` (rewriting module) -- truncated noncommutative Buchberger
   completion; normal words avoid every rule lead.
 
 ``GradedQuotient`` is the one interface the certificates are written
 against: it runs either engine, or both, comparing every dimension,
 normal-word list and normal form and raising on disagreement.
-``hilbert_table``, ``membership`` and ``normal_form`` are thin calls on it.
+``hilbert_table``, ``membership`` (``contains``) and ``normal_form`` are
+thin calls on it.
 """
 
 from __future__ import annotations
@@ -128,36 +131,22 @@ class DegreeTable:
         }
 
 
-class WordCodec:
-    """Deglex-monotone integer codes for words over n letters."""
+def word_code(word, n: int) -> int:
+    """The bijective base-n numeral of a word: deglex-monotone, onto the
+    integers >= 0, and code(u.v) = code(u) * n^len(v) + code(v)."""
+    code = 0
+    for a in word:
+        code = code * n + a + 1
+    return code
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self._offsets = [0]
 
-    def offset(self, d: int) -> int:
-        while len(self._offsets) <= d:
-            k = len(self._offsets) - 1
-            self._offsets.append(self._offsets[-1] + self.n**k)
-        return self._offsets[d]
-
-    def encode(self, word) -> int:
-        rank = 0
-        for a in word:
-            rank = rank * self.n + a
-        return self.offset(len(word)) + rank
-
-    def decode(self, code: int, degree: int):
-        rank = code - self.offset(degree)
-        out = []
-        for _ in range(degree):
-            out.append(rank % self.n)
-            rank //= self.n
-        return tuple(reversed(out))
-
-    def prefix_shift(self, i: int, d: int) -> int:
-        """encode((i,)+w) - encode(w) for any word w of degree d-1."""
-        return self.offset(d) - self.offset(d - 1) + i * self.n ** (d - 1)
+def code_word(code: int, n: int) -> tuple:
+    """The word whose ``word_code`` is code."""
+    out = []
+    while code:
+        code, a = divmod(code - 1, n)
+        out.append(a)
+    return tuple(reversed(out))
 
 
 class LinearEngine:
@@ -166,7 +155,6 @@ class LinearEngine:
     def __init__(self, pres: Presentation, entry_limit: int | None = 40_000_000) -> None:
         pres.require_field()
         self.pres = pres
-        self.codec = WordCodec(pres.ctx.n)
         self.levels: list[RowReducer] = []
         self.entry_limit = entry_limit
 
@@ -187,16 +175,14 @@ class LinearEngine:
                 continue
             # k == d only for a degree-0 relation, whose level is being built
             nonstandard = self.levels[k].pivots if k < d else {}
-            off_k = self.codec.offset(k)
-            base = [(self.codec.encode(u), c) for u, c in sorted(r.terms.items(), key=lambda t: word_key(t[0]))]
-            # appending v of degree k maps code(u) -> (code(u)-off(du))*n^k + off(du+k) + rank(v)
-            du = r.degree
-            off_u = self.codec.offset(du)
-            off_t = self.codec.offset(du + k)
-            scaled = [((code - off_u) * n**k + off_t, c) for code, c in base]
-            for rank_v in range(n**k):
-                if off_k + rank_v not in nonstandard:
-                    yield {code + rank_v: c for code, c in scaled}
+            terms = sorted(r.terms.items(), key=lambda t: word_key(t[0]))
+            scaled = [(word_code(u, n) * n**k, c) for u, c in terms]
+            # the words v of degree k have consecutive codes, and
+            # code(u.v) = code(u) * n^k + code(v)
+            first = word_code((0,) * k, n)
+            for v in range(first, first + n**k):
+                if v not in nonstandard:
+                    yield {code + v: c for code, c in scaled}
 
     def extend(self, bound: int) -> None:
         n = self.pres.ctx.n
@@ -206,7 +192,7 @@ class LinearEngine:
             if d > 0 and self.levels[d - 1].pivots:
                 prev = self.levels[d - 1]
                 for i in range(n):
-                    shift = self.codec.prefix_shift(i, d)
+                    shift = (i + 1) * n ** (d - 1)  # code(x_i.w) - code(w)
                     for lead in sorted(prev.pivots):
                         row = prev.pivots[lead]
                         red.insert_pivot_row({c + shift: v for c, v in row.items()})
@@ -223,28 +209,28 @@ class LinearEngine:
             self.extend(d)
         return self.levels[d]
 
-    def _element(self, row: dict, d: int) -> FreeElement:
+    def _element(self, row: dict) -> FreeElement:
         out = FreeElement(self.pres.ctx)
-        out.terms = {self.codec.decode(c, d): v for c, v in row.items()}
+        out.terms = {code_word(c, self.pres.ctx.n): v for c, v in row.items()}
         return out
 
     def normal_words(self, d: int) -> list[tuple]:
         """Standard words of degree d (the non-pivots), in deglex order."""
         pivots = self._level(d).pivots
-        start = self.codec.offset(d)
-        codes = range(start, start + self.pres.ctx.n**d)
-        return [self.codec.decode(c, d) for c in codes if c not in pivots]
+        n = self.pres.ctx.n
+        start = word_code((0,) * d, n)
+        return [code_word(c, n) for c in range(start, start + n**d) if c not in pivots]
 
     def normal_form(self, f: FreeElement) -> FreeElement:
         """f fully reduced against the echelon basis of its degree."""
         d = f.require_homogeneous("normal form")
-        n = self.pres.ctx.conductor
-        row = {self.codec.encode(w): c.promote(n) for w, c in f.terms.items()}
-        return self._element(self._level(d).normal_form(row), d)
+        n, conductor = self.pres.ctx.n, self.pres.ctx.conductor
+        row = {word_code(w, n): c.promote(conductor) for w, c in f.terms.items()}
+        return self._element(self._level(d).normal_form(row))
 
     def ideal_basis(self, d: int) -> list[FreeElement]:
         pivots = self._level(d).pivots
-        return [self._element(pivots[lead], d) for lead in sorted(pivots)]
+        return [self._element(pivots[lead]) for lead in sorted(pivots)]
 
 
 _LA_CACHE: dict[str, LinearEngine] = {}
@@ -284,7 +270,7 @@ class GradedQuotient:
     mismatch raises ``EngineDisagreementError``: the LA pivots are the
     deglex leading words, so the two must agree term by term.  Normal forms
     are exact up to ``bound``, the degree the rewriting system is completed
-    to.
+    to; above it the rewriting engine raises ``CompletionBoundError``.
     """
 
     def __init__(self, pres: Presentation, engine: str = "both", bound: int = 0) -> None:
@@ -318,6 +304,10 @@ class GradedQuotient:
     def normal_form(self, f: FreeElement) -> FreeElement:
         return self._agree(f.require_homogeneous(), self.la.normal_form(f), self.gb.normal_form(f))
 
+    def contains(self, f: FreeElement) -> bool:
+        """Does f lie in the two-sided ideal (R)?"""
+        return self.normal_form(f).is_zero()
+
 
 def hilbert_table(pres: Presentation, bound: int, engine: str = "both") -> DegreeTable:
     """Graded dimensions of TV/(R) up to bound, via the chosen engine(s)."""
@@ -326,9 +316,10 @@ def hilbert_table(pres: Presentation, bound: int, engine: str = "both") -> Degre
 
 
 def membership(f: FreeElement, pres: Presentation, engine: str = "gb", bound: int | None = None) -> bool:
-    """Does f lie in the two-sided ideal (R)?  Degree-truncated, exact."""
+    """Does f lie in the two-sided ideal (R)?  Exact: the rewriting system
+    is completed to at least deg f."""
     d = f.require_homogeneous("membership")
-    return GradedQuotient(pres, engine, max(d, bound or 0)).normal_form(f).is_zero()
+    return GradedQuotient(pres, engine, max(d, bound or 0)).contains(f)
 
 
 def normal_form(f: FreeElement, pres: Presentation, bound: int | None = None) -> FreeElement:

@@ -3,9 +3,10 @@
 Rules rewrite a deglex-leading word to a strictly smaller tail.  Completion
 resolves every overlap ambiguity whose ambiguity word has degree <= bound;
 the graded diamond lemma then makes every normal form of degree <= bound
-unique, and the normal words of degree d <= bound count the quotient
-dimension in that degree.  Normal words are listed degree by degree, each
-degree extending the one below by a letter, and cached.
+unique (``normal_form`` refuses anything above it), and the normal words
+of degree d <= bound count the quotient dimension in that degree.  Normal
+words are listed degree by degree, each degree extending the one below by
+a letter, and cached.
 
 All relations here are homogeneous, so every queued S-polynomial has a
 fixed degree and the queue is processed in (degree, insertion) order,
@@ -31,7 +32,7 @@ from .scalars import sc_fms
 
 
 class CompletionBoundError(AlgebraError):
-    """Normal words asked for above the degree the system is completed to."""
+    """A normal form or normal words asked for above the completion degree."""
 
 
 class GBState:
@@ -68,6 +69,19 @@ class GBState:
 
     def normal_form(self, f: FreeElement) -> FreeElement:
         """Deglex normal form of f.
+
+        It is unique only up to the completion bound (a word above it may
+        contain an unresolved ambiguity), so f must have no term above it.
+        """
+        for w in f.terms:
+            if len(w) > self.bound:
+                raise CompletionBoundError(
+                    f"normal form of degree {len(w)} beyond completion bound {self.bound}"
+                )
+        return self._normal_form(f)
+
+    def _normal_form(self, f: FreeElement) -> FreeElement:
+        """Normal form without the bound check, for completion itself.
 
         The rules are homogeneous, so words of different degrees never meet,
         and within one degree tuple order is deglex order: each step rewrites
@@ -137,18 +151,19 @@ class GBState:
     def _complete(self) -> None:
         self._counter = 0
         queue: list = []
+        # nothing above the bound is queued: relations are homogeneous, and
+        # _enqueue_overlaps skips ambiguity words longer than the bound
         for r in self.pres.relations:
-            heapq.heappush(queue, (r.degree, self._tick(), None, r))
+            if r.degree <= self.bound:
+                heapq.heappush(queue, (r.degree, self._tick(), None, r))
         while queue:
             _deg, _tick, amb, element = heapq.heappop(queue)
-            reduced = self.normal_form(element)
+            reduced = self._normal_form(element)
             if amb is not None:
                 self.log.append(amb)
             if reduced.is_zero():
                 continue
             lead, tail = self._rule_from(reduced)
-            if len(lead) > self.bound:
-                continue
             # The queue pops in degree order, so every stored lead is no
             # longer than this one, and this one is a normal word: no lead
             # contains another, and at most one starts at any position.
@@ -164,7 +179,7 @@ class GBState:
                     for i in range(len(w) - len(lead) + 1)
                 )
                 if hit:
-                    self.rules[other] = self.normal_form(otail)
+                    self.rules[other] = self._normal_form(otail)
             self._enqueue_overlaps(lead, queue)
 
     # -- normal words ------------------------------------------------------------
@@ -173,9 +188,6 @@ class GBState:
         """Quotient dimensions up to bound: the numbers of normal words."""
         self.normal_words(bound)
         return [len(words) for words in self._words[: bound + 1]]
-
-    def leading_words(self) -> list[tuple]:
-        return sorted(self.rules, key=word_key)
 
     def normal_words(self, d: int) -> list[tuple]:
         """Words of degree d avoiding every lead, in deglex order.

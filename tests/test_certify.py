@@ -5,8 +5,8 @@ import pytest
 from normext.certify import (
     BuildError,
     ExtensionSpec,
+    ResolutionData,
     build_extension,
-    build_resolution,
     full_certificate,
     hdet_certificate,
     nakayama,
@@ -18,6 +18,7 @@ from normext.certify import (
 from normext.dsl import parse_algebra, parse_poly, print_poly
 from normext.freealg import Context, FreeElement
 from normext.linalg import RowReducer
+from normext.quotient import GradedQuotient
 from normext.scalars import Scalar
 from normext.superpotential import Superpotential
 
@@ -39,6 +40,10 @@ def s2_superpotential(alpha=None):
     af = parse_algebra(S2_SRC)
     asg = af.assignment(None if alpha is None else f"alpha:={alpha}")
     return Superpotential(af.w.specialize(asg))
+
+
+def gb(pres, bound):
+    return GradedQuotient(pres, "gb", bound)
 
 
 def poly_spec(p=(1, 1, 1), k=0):
@@ -96,7 +101,7 @@ def test_lpwz_degree_four_relation():
 
 def test_hilbert_pass_and_tables():
     spec = poly_spec()
-    data, checks = verify_hilbert(spec, 8)
+    data, checks = verify_hilbert(spec, gb(spec.A, 8), gb(spec.D, 8), 8)
     assert checks[0].passed
     assert data["tables"]["D"] == [1, 3, 7, 13, 22, 34, 50, 70, 95]
     assert data["tables"]["predicted_D"] == data["tables"]["D"]
@@ -105,7 +110,7 @@ def test_hilbert_pass_and_tables():
 
 def test_hilbert_failure_locates_defect():
     spec = poly_spec(p=(1, 2, 1))
-    data, checks = verify_hilbert(spec, 8)
+    data, checks = verify_hilbert(spec, gb(spec.A, 8), gb(spec.D, 8), 8)
     assert not checks[0].passed
     assert checks[0].witness == data["diagnostics"]["first_defect_degree"]
     assert data["diagnostics"]["first_defect_degree"] is not None
@@ -117,7 +122,7 @@ def test_predicted_dims_convolution():
 
 def test_omega_certificate_cy():
     spec = poly_spec()
-    data, checks = omega_certificate(spec, 8)
+    data, checks = omega_certificate(spec, gb(spec.D, 8), 8)
     by_name = {c.name: c for c in checks}
     assert by_name["omega_normal"].passed and by_name["omega_regular"].passed
     assert data["diagnostics"]["central"] is True
@@ -127,7 +132,7 @@ def test_omega_certificate_s2_normal_not_central():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    data, checks = omega_certificate(spec, 10)
+    data, checks = omega_certificate(spec, gb(spec.D, 10), 10)
     by_name = {c.name: c for c in checks}
     assert by_name["omega_normal"].passed and by_name["omega_regular"].passed
     assert data["diagnostics"]["central"] is False
@@ -135,11 +140,11 @@ def test_omega_certificate_s2_normal_not_central():
 
 def test_omega_bad_tuple_regularity_fails_where_z_positive():
     spec = poly_spec(p=(1, 2, 1))
-    data, checks = omega_certificate(spec, 8)
+    data, checks = omega_certificate(spec, gb(spec.D, 8), 8)
     by_name = {c.name: c for c in checks}
     assert by_name["omega_normal"].passed  # normality needs no goodness
     assert not by_name["omega_regular"].passed
-    hil, _ = verify_hilbert(spec, 8)
+    hil, _ = verify_hilbert(spec, gb(spec.A, 8), gb(spec.D, 8), 8)
     z_from_e = hil["diagnostics"]["z_from_e"]
     first_z = next(k for k, v in enumerate(z_from_e) if v)
     assert by_name["omega_regular"].witness["first_right"] == first_z
@@ -151,10 +156,10 @@ def test_resolution_shapes_and_identities():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    res = build_resolution(spec)  # identity checks run inside
+    res = ResolutionData(spec)  # identity checks run inside
     assert len(res.Ml) == 2 and len(res.Ml[0]) == 2
     assert len(res.Mr) == 2 and len(res.Mr[0]) == 2
-    res3 = build_resolution(poly_spec())
+    res3 = ResolutionData(poly_spec())
     assert len(res3.Ml) == 3 and len(res3.Ml[0]) == 4
     assert len(res3.Mr) == 4 and len(res3.Mr[0]) == 3
     for _a, _b, ent in res3.product_entries():
@@ -163,16 +168,14 @@ def test_resolution_shapes_and_identities():
 
 def test_resolution_certificate_cy():
     spec = poly_spec()
-    res = build_resolution(spec)
-    data, checks = resolution_certificate(res, spec, 8)
+    data, checks = resolution_certificate(spec, gb(spec.D, 8), 8)
     assert all(c.passed for c in checks)
     assert data["diagnostics"]["euler_residuals"] == [0] * 9
 
 
 def test_resolution_certificate_bad_tuple():
     spec = poly_spec(p=(1, 2, 1))
-    res = build_resolution(spec)
-    _data, checks = resolution_certificate(res, spec, 6)
+    _data, checks = resolution_certificate(spec, gb(spec.D, 6), 6)
     by_name = {c.name: c for c in checks}
     assert not by_name["complex_property"].passed
     assert by_name["complex_property"].witness  # offending (i, j) pairs
@@ -180,15 +183,14 @@ def test_resolution_certificate_bad_tuple():
 
 def test_resolution_index_k_permutation():
     spec = build_extension(SP_POLY, (ONE, ONE, ONE), 2, label="k3")
-    res = build_resolution(spec)
-    assert res.perm == (2, 0, 1)
-    data, checks = resolution_certificate(res, spec, 6)
+    assert ResolutionData(spec).perm == (2, 0, 1)
+    data, checks = resolution_certificate(spec, gb(spec.D, 6), 6)
     assert all(c.passed for c in checks)
 
 
 def test_nakayama_cy_identity():
     spec = poly_spec()
-    data, checks, nu = nakayama(spec, 8)
+    data, checks = nakayama(spec, gb(spec.D, 8))
     assert all(c.passed for c in checks)
     assert data["nakayama"] == ["1", "1", "1"]
     assert data["omega_eigenvalue"] == "1"
@@ -198,7 +200,7 @@ def test_nakayama_s2_values():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    data, checks, nu = nakayama(spec, 10)
+    data, checks = nakayama(spec, gb(spec.D, 10))
     assert all(c.passed for c in checks)
     # (p_i q_i)^{-1} with q = (4, -1/4), p = (4, 1/2)
     assert data["nakayama"] == ["1/16", "-8"]
@@ -250,8 +252,7 @@ def test_theorem_equivalence_three_routes():
     for p, expect in (((1, 1, 1), True), ((1, 2, 1), False), ((1, -1, -1), True)):
         spec = poly_spec(p=p)
         good = bool(spec.goodness())
-        _d, hchecks = verify_hilbert(spec, 8)
-        res = build_resolution(spec)
-        _d2, rchecks = resolution_certificate(res, spec, 8)
+        _d, hchecks = verify_hilbert(spec, gb(spec.A, 8), gb(spec.D, 8), 8)
+        _d2, rchecks = resolution_certificate(spec, gb(spec.D, 8), 8)
         complex_ok = {c.name: c for c in rchecks}["complex_property"].passed
         assert good == expect and hchecks[0].passed == expect and complex_ok == expect

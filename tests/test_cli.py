@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import normext
-from normext import cli
+from normext import cli, quotient
 from normext.cli import default_corpus_path, run
 
 CORPUS = default_corpus_path()
@@ -65,6 +65,7 @@ def test_input_errors_exit_two(capsys):
         ["family-probe", W_POLY, "--p", "1,1,1"],
         ["verify", W_POLY, "--om", "1", "--p", "1,1,1", "--bou", "4", "--eng", "gb"],
         ["hilbert", W_POLY, "--gb"],
+        ["hilbert", W_POLY, "--gb-log"],
     ],
 )
 def test_options_a_command_ignores_are_rejected(argv, capsys):
@@ -73,12 +74,32 @@ def test_options_a_command_ignores_are_rejected(argv, capsys):
     assert "unrecognized arguments" in err or "invalid choice" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["hilbert", W_POLY], ["verify", W_POLY, "--omit", "1", "--p", "1,1,1"], ["family-probe", W_POLY]],
+    ids=["hilbert", "verify", "family-probe"],
+)
+def test_negative_bound_is_an_input_error(argv, capsys):
+    assert run([*argv, "--bound", "-1"]) == 2
+    assert "degree bound must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("engine", ["la", "both"])
 def test_verify_matches_gb(engine, capsys):
     args = ["verify", W_POLY, "--omit", "1", "--p", "1,1,1", "--bound", "5"]
     code_gb, out_gb = run_cli(capsys, *args, "--engine", "gb")
     code, out = run_cli(capsys, *args, "--engine", engine)
     assert (code, out) == (code_gb, out_gb) and code_gb == 0
+
+
+def test_verify_below_2m_minus_1_matches_la(monkeypatch, capsys):
+    """cubic_s2 has m = 3: at bound 4 the entries of M_l M_r (degree 5) lie
+    above the bound, and the rewriting system for D must still reach them."""
+    monkeypatch.setattr(quotient, "_GB_CACHE", {})
+    args = ["verify", S2, "--omit", "1", "--p", "4,1/2", "--bound", "4"]
+    code_la, out_la = run_cli(capsys, *args, "--engine", "la")
+    code_gb, out_gb = run_cli(capsys, *args, "--engine", "gb")
+    assert (code_gb, out_gb) == (code_la, out_la) and code_la == 0
 
 
 @pytest.mark.parametrize("where", ["alg_file", "p_option"])

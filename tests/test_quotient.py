@@ -17,10 +17,12 @@ from normext.quotient import (
     GradedQuotient,
     LinearEngine,
     Presentation,
+    code_word,
     hilbert_table,
     ideal_basis,
     membership,
     normal_form,
+    word_code,
 )
 from normext.rewriting import CompletionBoundError, GBState
 from normext.scalars import Scalar, cyclotomic_poly
@@ -139,11 +141,32 @@ def test_normal_form_beyond_bound_rejected():
         gb.dims(5)
 
 
+def test_normal_form_above_the_completion_bound_is_refused(corpus_entries, monkeypatch):
+    """Completed at 4 and at 9, this D gives different normal forms for 111
+    of the 224 words of degree 5-7; only the linear algebra answers there."""
+    entry = corpus_entries["cubic_a"]
+    spec = build_extension(Superpotential(field_w(entry)), parse_tuple("1,1", 12), 0)
+    monkeypatch.setattr(quotient, "_GB_CACHE", {})
+    f = FreeElement.monomial(spec.ctx, (1, 0, 1, 1, 0))
+    for engine in ("gb", "both"):
+        with pytest.raises(CompletionBoundError):
+            GradedQuotient(spec.D, engine, 4).normal_form(f)
+    assert GradedQuotient(spec.D, "la", 4).normal_form(f) == GBState(spec.D, 9).normal_form(f)
+
+
 def test_gb_state_is_deterministic():
     a = GBState(A_POLY, 6)
     b = GBState(Presentation(CTX, RELS, label="poly3"), 6)
-    assert a.leading_words() == b.leading_words()
+    assert a.rules == b.rules
     assert a.log == b.log
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_word_codes_are_the_deglex_ranks(n):
+    """Every word up to degree 4 in deglex order has the codes 0, 1, 2, ..."""
+    words = sorted((w for d in range(5) for w in product(range(n), repeat=d)), key=word_key)
+    assert [word_code(w, n) for w in words] == list(range(len(words)))
+    assert [code_word(c, n) for c in range(len(words))] == words
 
 
 class UnprunedEngine(LinearEngine):
@@ -155,7 +178,7 @@ class UnprunedEngine(LinearEngine):
             if r.degree > d:
                 continue
             for v in product(range(n), repeat=d - r.degree):  # increasing code
-                yield {self.codec.encode(u + v): c for u, c in r.terms.items()}
+                yield {word_code(u + v, n): c for u, c in r.terms.items()}
 
 
 def corpus_presentations(entries):

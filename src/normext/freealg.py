@@ -313,9 +313,3 @@ class FreeElement:
 
 def gens(ctx: Context) -> list[FreeElement]:
     return [FreeElement.gen(ctx, i) for i in range(ctx.n)]
-
-
-def parse_poly(text: str, ctx: Context) -> FreeElement:
-    from .dsl import parse_poly as _parse
-
-    return _parse(text, ctx)

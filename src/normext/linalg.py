@@ -103,9 +103,6 @@ class RowReducer:
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
-    def rows(self) -> list[dict]:
-        return [self.pivots[k] for k in sorted(self.pivots)]
-
 
 # kernel and solve reduce vector j as the row {(1, k): vector[k]} plus a unit
 # tag at (0, j).  Every tag sorts below every data key, so a reduced row

@@ -18,6 +18,11 @@ normal forms:
 * ``GBState`` (rewriting module) -- truncated noncommutative Buchberger
   completion; normal words avoid every rule lead.
 
+Both engines start empty and grow on demand: ``extend(d)`` completes
+through degree d, and ``dims``, ``normal_words`` and ``normal_form`` each
+extend to the degree they need first, so an answer never depends on what
+was asked before.
+
 ``GradedQuotient`` is the one interface the certificates are written
 against: it runs either engine, or both, comparing every dimension,
 normal-word list and normal form and raising on disagreement.
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from .freealg import CoefficientModeError, Context, FreeElement, word_key
 from .linalg import RowReducer
 from .dsl import print_poly
+from .rewriting import GBState
 
 
 class EngineDisagreementError(AssertionError):
@@ -92,9 +98,6 @@ class Presentation:
                 sort_keys=True,
             )
         return self._key
-
-    def degrees(self) -> list[int]:
-        return sorted({r.degree for r in self.relations})
 
     def require_field(self) -> None:
         if self.ctx.mode != "field":
@@ -234,55 +237,44 @@ class LinearEngine:
 
 
 _LA_CACHE: dict[str, LinearEngine] = {}
-_GB_CACHE: dict = {}
+_GB_CACHE: dict[str, GBState] = {}
 
 
-def linear_engine(pres: Presentation) -> LinearEngine:
-    eng = _LA_CACHE.get(pres.key())
+def _engine(cache: dict, cls, pres: Presentation):
+    """The one engine of class cls for pres, kept in cache by presentation."""
+    eng = cache.get(pres.key())
     if eng is None:
-        eng = LinearEngine(pres)
-        _LA_CACHE[pres.key()] = eng
+        eng = cache[pres.key()] = cls(pres)
     return eng
-
-
-def gb_engine(pres: Presentation, bound: int):
-    from .rewriting import GBState
-
-    key = pres.key()
-    state = _GB_CACHE.get(key)
-    if state is None or state.bound < bound:
-        state = GBState(pres, bound)
-        _GB_CACHE[key] = state
-    return state
 
 
 def ideal_basis(pres: Presentation, d: int) -> list[FreeElement]:
     """Echelonized basis of the degree-d component of the ideal (R)."""
     pres.require_field()
-    return linear_engine(pres).ideal_basis(d)
+    return _engine(_LA_CACHE, LinearEngine, pres).ideal_basis(d)
 
 
 class GradedQuotient:
-    """Dimensions, normal words and normal forms of TV/(R) up to a bound.
+    """Dimensions, normal words and normal forms of TV/(R), in any degree.
 
     With engine ``la`` or ``gb`` that engine's own methods are bound onto
     the instance.  With ``both`` each answer comes from both engines and a
     mismatch raises ``EngineDisagreementError``: the LA pivots are the
-    deglex leading words, so the two must agree term by term.  Normal forms
-    are exact up to ``bound``, the degree the rewriting system is completed
-    to; above it the rewriting engine raises ``CompletionBoundError``.
+    deglex leading words, so the two must agree term by term.  Each engine
+    is shared through a cache per presentation and extends itself to the
+    degree a call needs, so every answer is exact whatever was asked before.
     """
 
-    def __init__(self, pres: Presentation, engine: str = "both", bound: int = 0) -> None:
+    def __init__(self, pres: Presentation, engine: str = "both") -> None:
         pres.require_field()
         if engine not in ("la", "gb", "both"):
             raise ValueError(f"unknown engine {engine!r}")
         self.pres = pres
         self.label = pres.label or pres.text()
         if engine != "gb":
-            self.la = linear_engine(pres)
+            self.la = _engine(_LA_CACHE, LinearEngine, pres)
         if engine != "la":
-            self.gb = gb_engine(pres, bound)
+            self.gb = _engine(_GB_CACHE, GBState, pres)
         if engine != "both":
             own = self.la if engine == "la" else self.gb
             self.dims = own.dims
@@ -311,18 +303,17 @@ class GradedQuotient:
 
 def hilbert_table(pres: Presentation, bound: int, engine: str = "both") -> DegreeTable:
     """Graded dimensions of TV/(R) up to bound, via the chosen engine(s)."""
-    q = GradedQuotient(pres, engine, bound)
+    q = GradedQuotient(pres, engine)
     return DegreeTable(label=q.label, bound=bound, dims=tuple(q.dims(bound)), engine=engine)
 
 
-def membership(f: FreeElement, pres: Presentation, engine: str = "gb", bound: int | None = None) -> bool:
-    """Does f lie in the two-sided ideal (R)?  Exact: the rewriting system
-    is completed to at least deg f."""
-    d = f.require_homogeneous("membership")
-    return GradedQuotient(pres, engine, max(d, bound or 0)).contains(f)
+def membership(f: FreeElement, pres: Presentation, engine: str = "gb") -> bool:
+    """Does f lie in the two-sided ideal (R)?"""
+    f.require_homogeneous("membership")
+    return GradedQuotient(pres, engine).contains(f)
 
 
-def normal_form(f: FreeElement, pres: Presentation, bound: int | None = None) -> FreeElement:
-    """Deglex normal form of f modulo the truncated rewriting system."""
-    d = f.require_homogeneous("normal form")
-    return GradedQuotient(pres, "gb", max(d, bound or 0)).normal_form(f)
+def normal_form(f: FreeElement, pres: Presentation) -> FreeElement:
+    """Deglex normal form of f modulo (R), from the rewriting system."""
+    f.require_homogeneous("normal form")
+    return GradedQuotient(pres, "gb").normal_form(f)

@@ -1,19 +1,24 @@
 """Truncated noncommutative Buchberger completion (diamond lemma engine).
 
-Rules rewrite a deglex-leading word to a strictly smaller tail.  Completion
-resolves every overlap ambiguity whose ambiguity word has degree <= bound;
-the graded diamond lemma then makes every normal form of degree <= bound
-unique (``normal_form`` refuses anything above it), and the normal words
-of degree d <= bound count the quotient dimension in that degree.  Normal
-words are listed degree by degree, each degree extending the one below by
-a letter, and cached.
+Rules rewrite a deglex-leading word to a strictly smaller tail.  A
+``GBState`` starts empty and is completed on demand: ``extend(d)`` resolves
+every overlap ambiguity whose ambiguity word has degree <= d, continuing
+from the degree completed so far, and ``normal_form`` and ``normal_words``
+extend to the degree they are asked for first.  The graded diamond lemma
+then makes every normal form of degree <= d unique, and the normal words
+of degree d count the quotient dimension in that degree.  Normal words are
+listed degree by degree, each degree extending the one below by a letter,
+and cached.
 
 All relations here are homogeneous, so every queued S-polynomial has a
 fixed degree and the queue is processed in (degree, insertion) order,
 making the computed system deterministic for a fixed input.  That order
 also keeps the leads an antichain: a new lead is a normal word no shorter
 than any stored lead, so no lead contains another and no inclusion
-ambiguity arises.
+ambiguity arises.  Completing in stages gives the same system as
+completing at once: the reduced system truncated at degree d is unique
+(its leads are the minimal leading words of the ideal through degree d,
+and each tail is the normal form of its lead).
 
 The read side relies on both facts.  At most one lead starts at any
 position of a word, so the leftmost occurrence is one dict lookup per
@@ -25,35 +30,34 @@ tuple-largest word left and adds each tail term with one ``sc_fms``.
 from __future__ import annotations
 
 import heapq
+from typing import TYPE_CHECKING
 
-from .freealg import AlgebraError, FreeElement, word_key
-from .quotient import Presentation
+from .freealg import FreeElement, word_key
 from .scalars import sc_fms
 
-
-class CompletionBoundError(AlgebraError):
-    """A normal form or normal words asked for above the completion degree."""
+if TYPE_CHECKING:
+    from .quotient import Presentation
 
 
 class GBState:
     """Reduced truncated rewriting system for one presentation."""
 
-    def __init__(self, pres: Presentation, bound: int) -> None:
+    def __init__(self, pres: Presentation) -> None:
         pres.require_field()
         self.pres = pres
-        self.bound = bound
+        self.bound = -1  # the degree completed so far
         self.rules: dict[tuple, FreeElement] = {}  # lead word -> tail element
         self.log: list[tuple] = []  # processed ambiguities (lead1, lead2, word)
         self._lengths: list[int] = []  # distinct lead lengths, ascending
         self._words: list[list[tuple]] = [[()]]  # normal words by degree
-        self._complete()
+        self._counter = 0
 
     # -- reduction ---------------------------------------------------------
 
     def _find_occurrence(self, word: tuple):
         """Leftmost occurrence of a rule lead inside word.
 
-        The leads form an antichain (see ``_complete``), so at most one lead
+        The leads form an antichain (see ``extend``), so at most one lead
         starts at any position and one dict lookup per lead length finds it.
         """
         rules = self.rules
@@ -68,20 +72,14 @@ class GBState:
         return None
 
     def normal_form(self, f: FreeElement) -> FreeElement:
-        """Deglex normal form of f.
-
-        It is unique only up to the completion bound (a word above it may
-        contain an unresolved ambiguity), so f must have no term above it.
-        """
+        """Deglex normal form of f, completing through its degree first."""
         for w in f.terms:
             if len(w) > self.bound:
-                raise CompletionBoundError(
-                    f"normal form of degree {len(w)} beyond completion bound {self.bound}"
-                )
+                self.extend(len(w))
         return self._normal_form(f)
 
     def _normal_form(self, f: FreeElement) -> FreeElement:
-        """Normal form without the bound check, for completion itself.
+        """Normal form against the rules as they stand, for completion itself.
 
         The rules are homogeneous, so words of different degrees never meet,
         and within one degree tuple order is deglex order: each step rewrites
@@ -124,38 +122,44 @@ class GBState:
         tail.terms = {w: -(c * inv) for w, c in f.terms.items() if w != lead}
         return lead, tail
 
-    def _enqueue_overlaps(self, lead: tuple, queue) -> None:
+    def _enqueue_overlaps(self, pairs, queue, low: int) -> None:
+        """Queue the S-polynomial of every overlap of l1 followed by l2, for
+        (l1, l2) in pairs, whose ambiguity word has degree in (low, bound]."""
         ctx = self.pres.ctx
-        tail = self.rules[lead]
-        for other, otail in list(self.rules.items()):
-            pairs = [(lead, tail, other, otail)]
-            if other != lead:
-                pairs.append((other, otail, lead, tail))
-            for l1, r1, l2, r2 in pairs:
-                for s_len in range(1, min(len(l1), len(l2))):
-                    if l1[len(l1) - s_len :] != l2[:s_len]:
-                        continue
-                    u = l1[: len(l1) - s_len]
-                    v = l2[s_len:]
-                    word = l1 + v
-                    if len(word) > self.bound:
-                        continue
-                    # the two rewrites of the ambiguity word u.s.v must agree
-                    spoly = r1 * FreeElement.monomial(ctx, v) - FreeElement.monomial(ctx, u) * r2
-                    heapq.heappush(queue, (len(word), self._tick(), (l1, l2, word), spoly))
+        rules = self.rules
+        for l1, l2 in pairs:
+            for s_len in range(1, min(len(l1), len(l2))):
+                if l1[len(l1) - s_len :] != l2[:s_len]:
+                    continue
+                u = l1[: len(l1) - s_len]
+                v = l2[s_len:]
+                word = l1 + v
+                if not low < len(word) <= self.bound:
+                    continue
+                # the two rewrites of the ambiguity word u.s.v must agree
+                spoly = rules[l1] * FreeElement.monomial(ctx, v) - FreeElement.monomial(ctx, u) * rules[l2]
+                heapq.heappush(queue, (len(word), self._tick(), (l1, l2, word), spoly))
 
     def _tick(self) -> int:
         self._counter += 1
         return self._counter
 
-    def _complete(self) -> None:
-        self._counter = 0
+    def extend(self, d: int) -> None:
+        """Complete through degree d, continuing from the degree completed.
+
+        The inputs skipped so far are exactly the relations of degree in
+        (old, d] and the overlaps among stored leads whose ambiguity word
+        has degree in (old, d]; nothing above d is queued.
+        """
+        old = self.bound
+        if d <= old:
+            return
+        self.bound = d
         queue: list = []
-        # nothing above the bound is queued: relations are homogeneous, and
-        # _enqueue_overlaps skips ambiguity words longer than the bound
         for r in self.pres.relations:
-            if r.degree <= self.bound:
+            if old < r.degree <= d:
                 heapq.heappush(queue, (r.degree, self._tick(), None, r))
+        self._enqueue_overlaps([(a, b) for a in self.rules for b in self.rules], queue, old)
         while queue:
             _deg, _tick, amb, element = heapq.heappop(queue)
             reduced = self._normal_form(element)
@@ -164,9 +168,10 @@ class GBState:
             if reduced.is_zero():
                 continue
             lead, tail = self._rule_from(reduced)
-            # The queue pops in degree order, so every stored lead is no
-            # longer than this one, and this one is a normal word: no lead
-            # contains another, and at most one starts at any position.
+            # The queue pops in degree order and every stored lead came from
+            # a degree popped earlier, so every stored lead is no longer than
+            # this one, and this one is a normal word: no lead contains
+            # another, and at most one starts at any position.
             self.rules[lead] = tail
             self._lengths = sorted({len(other) for other in self.rules})
             # re-normalize stored tails that the new lead makes reducible
@@ -180,7 +185,11 @@ class GBState:
                 )
                 if hit:
                     self.rules[other] = self._normal_form(otail)
-            self._enqueue_overlaps(lead, queue)
+            # overlaps of the new lead with every lead, itself once
+            pairs = []
+            for other in self.rules:
+                pairs += [(lead, other), (other, lead)] if other != lead else [(lead, lead)]
+            self._enqueue_overlaps(pairs, queue, old)
 
     # -- normal words ------------------------------------------------------------
 
@@ -196,10 +205,7 @@ class GBState:
         words of degree d-1 by one letter and checks only the new suffixes.
         The lists are cached; callers must not mutate them.
         """
-        if d > self.bound:
-            raise CompletionBoundError(
-                f"normal words of degree {d} beyond completion bound {self.bound}"
-            )
+        self.extend(d)
         rules = self.rules
         lengths = self._lengths
         letters = range(self.pres.ctx.n)

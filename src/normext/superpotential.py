@@ -55,8 +55,6 @@ class DiagonalMap:
         return DiagonalMap(ctx, [ctx.one()] * ctx.n)
 
     def is_identity(self) -> bool:
-        if self.ctx.mode == "field":
-            return all(s.is_one() for s in self.scales)
         return all(s.is_one() for s in self.scales)
 
     def inverse(self) -> "DiagonalMap":
@@ -122,7 +120,7 @@ def twist_of(w: FreeElement) -> DiagonalMap:
             raise TwistError(
                 f"no diagonal twist: g_{i + 1} is not proportional to f_{i + 1}"
             )
-        q = cg * f[i].coeff(word).inv() if ctx.mode == "field" else cg / f[i].coeff(word)
+        q = cg / f[i].coeff(word)
         if g[i] != f[i].scale(q):
             raise TwistError(
                 f"no diagonal twist: g_{i + 1} is not proportional to f_{i + 1}"

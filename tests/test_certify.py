@@ -42,8 +42,8 @@ def s2_superpotential(alpha=None):
     return Superpotential(af.w.specialize(asg))
 
 
-def gb(pres, bound):
-    return GradedQuotient(pres, "gb", bound)
+def gb(pres):
+    return GradedQuotient(pres, "gb")
 
 
 def poly_spec(p=(1, 1, 1), k=0):
@@ -101,7 +101,7 @@ def test_lpwz_degree_four_relation():
 
 def test_hilbert_pass_and_tables():
     spec = poly_spec()
-    data, checks = verify_hilbert(spec, gb(spec.A, 8), gb(spec.D, 8), 8)
+    data, checks = verify_hilbert(spec, gb(spec.A), gb(spec.D), 8)
     assert checks[0].passed
     assert data["tables"]["D"] == [1, 3, 7, 13, 22, 34, 50, 70, 95]
     assert data["tables"]["predicted_D"] == data["tables"]["D"]
@@ -110,7 +110,7 @@ def test_hilbert_pass_and_tables():
 
 def test_hilbert_failure_locates_defect():
     spec = poly_spec(p=(1, 2, 1))
-    data, checks = verify_hilbert(spec, gb(spec.A, 8), gb(spec.D, 8), 8)
+    data, checks = verify_hilbert(spec, gb(spec.A), gb(spec.D), 8)
     assert not checks[0].passed
     assert checks[0].witness == data["diagnostics"]["first_defect_degree"]
     assert data["diagnostics"]["first_defect_degree"] is not None
@@ -122,7 +122,7 @@ def test_predicted_dims_convolution():
 
 def test_omega_certificate_cy():
     spec = poly_spec()
-    data, checks = omega_certificate(spec, gb(spec.D, 8), 8)
+    data, checks = omega_certificate(spec, gb(spec.D), 8)
     by_name = {c.name: c for c in checks}
     assert by_name["omega_normal"].passed and by_name["omega_regular"].passed
     assert data["diagnostics"]["central"] is True
@@ -132,7 +132,7 @@ def test_omega_certificate_s2_normal_not_central():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    data, checks = omega_certificate(spec, gb(spec.D, 10), 10)
+    data, checks = omega_certificate(spec, gb(spec.D), 10)
     by_name = {c.name: c for c in checks}
     assert by_name["omega_normal"].passed and by_name["omega_regular"].passed
     assert data["diagnostics"]["central"] is False
@@ -140,11 +140,11 @@ def test_omega_certificate_s2_normal_not_central():
 
 def test_omega_bad_tuple_regularity_fails_where_z_positive():
     spec = poly_spec(p=(1, 2, 1))
-    data, checks = omega_certificate(spec, gb(spec.D, 8), 8)
+    data, checks = omega_certificate(spec, gb(spec.D), 8)
     by_name = {c.name: c for c in checks}
     assert by_name["omega_normal"].passed  # normality needs no goodness
     assert not by_name["omega_regular"].passed
-    hil, _ = verify_hilbert(spec, gb(spec.A, 8), gb(spec.D, 8), 8)
+    hil, _ = verify_hilbert(spec, gb(spec.A), gb(spec.D), 8)
     z_from_e = hil["diagnostics"]["z_from_e"]
     first_z = next(k for k, v in enumerate(z_from_e) if v)
     assert by_name["omega_regular"].witness["first_right"] == first_z
@@ -168,14 +168,14 @@ def test_resolution_shapes_and_identities():
 
 def test_resolution_certificate_cy():
     spec = poly_spec()
-    data, checks = resolution_certificate(spec, gb(spec.D, 8), 8)
+    data, checks = resolution_certificate(spec, gb(spec.D), 8)
     assert all(c.passed for c in checks)
     assert data["diagnostics"]["euler_residuals"] == [0] * 9
 
 
 def test_resolution_certificate_bad_tuple():
     spec = poly_spec(p=(1, 2, 1))
-    _data, checks = resolution_certificate(spec, gb(spec.D, 6), 6)
+    _data, checks = resolution_certificate(spec, gb(spec.D), 6)
     by_name = {c.name: c for c in checks}
     assert not by_name["complex_property"].passed
     assert by_name["complex_property"].witness  # offending (i, j) pairs
@@ -184,13 +184,13 @@ def test_resolution_certificate_bad_tuple():
 def test_resolution_index_k_permutation():
     spec = build_extension(SP_POLY, (ONE, ONE, ONE), 2, label="k3")
     assert ResolutionData(spec).perm == (2, 0, 1)
-    data, checks = resolution_certificate(spec, gb(spec.D, 6), 6)
+    data, checks = resolution_certificate(spec, gb(spec.D), 6)
     assert all(c.passed for c in checks)
 
 
 def test_nakayama_cy_identity():
     spec = poly_spec()
-    data, checks = nakayama(spec, gb(spec.D, 8))
+    data, checks = nakayama(spec, gb(spec.D))
     assert all(c.passed for c in checks)
     assert data["nakayama"] == ["1", "1", "1"]
     assert data["omega_eigenvalue"] == "1"
@@ -200,7 +200,7 @@ def test_nakayama_s2_values():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    data, checks = nakayama(spec, gb(spec.D, 10))
+    data, checks = nakayama(spec, gb(spec.D))
     assert all(c.passed for c in checks)
     # (p_i q_i)^{-1} with q = (4, -1/4), p = (4, 1/2)
     assert data["nakayama"] == ["1/16", "-8"]
@@ -252,7 +252,7 @@ def test_theorem_equivalence_three_routes():
     for p, expect in (((1, 1, 1), True), ((1, 2, 1), False), ((1, -1, -1), True)):
         spec = poly_spec(p=p)
         good = bool(spec.goodness())
-        _d, hchecks = verify_hilbert(spec, gb(spec.A, 8), gb(spec.D, 8), 8)
-        _d2, rchecks = resolution_certificate(spec, gb(spec.D, 8), 8)
+        _d, hchecks = verify_hilbert(spec, gb(spec.A), gb(spec.D), 8)
+        _d2, rchecks = resolution_certificate(spec, gb(spec.D), 8)
         complex_ok = {c.name: c for c in rchecks}["complex_property"].passed
         assert good == expect and hchecks[0].passed == expect and complex_ok == expect

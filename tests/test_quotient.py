@@ -24,7 +24,7 @@ from normext.quotient import (
     normal_form,
     word_code,
 )
-from normext.rewriting import CompletionBoundError, GBState
+from normext.rewriting import GBState
 from normext.scalars import Scalar, cyclotomic_poly
 from normext.superpotential import Superpotential, cyclic_derivatives
 
@@ -82,7 +82,7 @@ def test_hilbert_extension_series_oracle():
 
 def test_normal_form_commutator_rewrite():
     # deglex with x < y < z pivots on the larger word: yx -> xy
-    nf = normal_form(parse_poly("y*x", CTX), A_POLY, bound=4)
+    nf = normal_form(parse_poly("y*x", CTX), A_POLY)
     assert nf == parse_poly("x*y", CTX)
 
 
@@ -135,28 +135,56 @@ def test_resource_limit_is_loud():
         eng.dims(6)
 
 
-def test_normal_form_beyond_bound_rejected():
-    gb = GBState(A_POLY, 3)
-    with pytest.raises(CompletionBoundError):
-        gb.dims(5)
+def test_normal_words_above_the_completed_degree_extend_it():
+    gb = GBState(A_POLY)
+    gb.extend(3)
+    assert gb.dims(5) == LinearEngine(A_POLY).dims(5) == [comb(k + 2, 2) for k in range(6)]
+    assert gb.bound == 5
 
 
-def test_normal_form_above_the_completion_bound_is_refused(corpus_entries, monkeypatch):
+def test_normal_form_above_the_completed_degree_is_exact(corpus_entries, monkeypatch):
     """Completed at 4 and at 9, this D gives different normal forms for 111
-    of the 224 words of degree 5-7; only the linear algebra answers there."""
+    of the 224 words of degree 5-7.  A normal form extends the completion to
+    its own degree, so gb and both answer what la and a completion at 9
+    answer, whether the cache starts empty or already holds degree 9."""
     entry = corpus_entries["cubic_a"]
     spec = build_extension(Superpotential(field_w(entry)), parse_tuple("1,1", 12), 0)
-    monkeypatch.setattr(quotient, "_GB_CACHE", {})
-    f = FreeElement.monomial(spec.ctx, (1, 0, 1, 1, 0))
-    for engine in ("gb", "both"):
-        with pytest.raises(CompletionBoundError):
-            GradedQuotient(spec.D, engine, 4).normal_form(f)
-    assert GradedQuotient(spec.D, "la", 4).normal_form(f) == GBState(spec.D, 9).normal_form(f)
+    monos = [FreeElement.monomial(spec.ctx, w) for d in (5, 6, 7) for w in product(range(2), repeat=d)]
+    at_four, at_nine = GBState(spec.D), GBState(spec.D)
+    at_four.extend(4)
+    at_nine.extend(9)
+    assert sum(at_four._normal_form(f) != at_nine.normal_form(f) for f in monos) == 111
+    la = GradedQuotient(spec.D, "la")
+    for cached in (None, 9):
+        monkeypatch.setattr(quotient, "_GB_CACHE", {})
+        if cached is not None:
+            GradedQuotient(spec.D, "gb").gb.extend(cached)
+        for engine in ("gb", "both"):
+            q = GradedQuotient(spec.D, engine)
+            q.dims(4)
+            for f in monos:
+                assert q.normal_form(f) == la.normal_form(f) == at_nine.normal_form(f), (cached, engine, f)
+
+
+def test_staged_completion_equals_one_completion(corpus_entries):
+    """The truncated reduced system is unique, so extending degree by degree
+    gives the rules and normal words of one extension to the same degree."""
+    for pres, bound in corpus_presentations(corpus_entries):
+        top = bound + 1  # m + 4
+        staged, once = GBState(pres), GBState(pres)
+        for d in range(top + 1):
+            staged.extend(d)
+        once.extend(top)
+        assert staged.rules == once.rules, pres.label
+        for d in range(top + 1):
+            assert staged.normal_words(d) == once.normal_words(d), (pres.label, d)
 
 
 def test_gb_state_is_deterministic():
-    a = GBState(A_POLY, 6)
-    b = GBState(Presentation(CTX, RELS, label="poly3"), 6)
+    a = GBState(A_POLY)
+    b = GBState(Presentation(CTX, RELS, label="poly3"))
+    a.extend(6)
+    b.extend(6)
     assert a.rules == b.rules
     assert a.log == b.log
 
@@ -199,7 +227,12 @@ def corpus_presentations(entries):
 @pytest.fixture(scope="module")
 def completed(corpus_entries):
     """Every corpus presentation completed at m+2."""
-    return [GBState(pres, bound - 1) for pres, bound in corpus_presentations(corpus_entries)]
+    states = []
+    for pres, bound in corpus_presentations(corpus_entries):
+        state = GBState(pres)
+        state.extend(bound - 1)
+        states.append(state)
+    return states
 
 
 def test_standard_word_pruning_keeps_every_level(corpus_entries):
@@ -254,7 +287,7 @@ def test_both_engines_catch_a_perturbed_la_normal_form(corpus_entries, monkeypat
 
     monkeypatch.setattr(LinearEngine, "normal_form", doubled)
     with pytest.raises(EngineDisagreementError):
-        GradedQuotient(A_POLY, "both", 3).normal_form(parse_poly("y*x*x", CTX))
+        GradedQuotient(A_POLY, "both").normal_form(parse_poly("y*x*x", CTX))
     with pytest.raises(EngineDisagreementError):
         full_certificate(w_poly_extension(corpus_entries), bound=5, engine="both")
 
@@ -265,7 +298,7 @@ def test_normal_form_promotes_a_smaller_conductor(engine):
     ctx = Context(("x", "y"), 3)
     pres = Presentation(ctx, [parse_poly("y*x + z*x*y", ctx)], label="yx")
     f = FreeElement.monomial(ctx, (1, 0), Scalar.from_rational(5))
-    nf = GradedQuotient(pres, engine, 3).normal_form(f)
+    nf = GradedQuotient(pres, engine).normal_form(f)
     assert nf == FreeElement.monomial(ctx, (0, 1), Scalar.from_rational(-5, 3) * Scalar.zeta(3))
 
 

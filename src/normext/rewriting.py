@@ -117,9 +117,9 @@ class GBState:
     def _rule_from(self, f: FreeElement):
         """Normalize a reduced nonzero element into (lead, tail)."""
         lead = max(f.terms, key=word_key)
-        inv = f.terms[lead].inv()
+        neg_inv = -f.terms[lead].inv()
         tail = FreeElement(self.pres.ctx)
-        tail.terms = {w: -(c * inv) for w, c in f.terms.items() if w != lead}
+        tail.terms = {w: c * neg_inv for w, c in f.terms.items() if w != lead}
         return lead, tail
 
     def _enqueue_overlaps(self, pairs, queue, low: int) -> None:

@@ -6,12 +6,15 @@ Two coefficient domains coexist:
   over the power basis 1, z, ..., z^(d-1) (d = deg Phi_N) and one positive
   common denominator, in lowest terms.  All linear algebra in the package
   runs over these.  Sums, differences, products and the elimination step
-  ``sc_fms`` (a - c*b) work on Python integers only: products share one
-  convolution, reduced mod Phi_N through a table of z^k mod Phi_N, which
+  ``sc_fms`` (a - c*b) work on Python integers only: a product is a
+  convolution reduced mod Phi_N through a table of z^k mod Phi_N, which
   has integer entries because Phi_N is monic.  No Fraction is built on
-  these paths.  The inverse runs on the same convolution: the product of
-  the Galois conjugates of a numerator is its cofactor against the norm,
-  an integer.
+  these paths.  For ``a*b`` and ``sc_fms`` that whole computation is a
+  fixed formula in the d numerators, so ``_kernel_source`` writes it out
+  as straight-line Python with the table's integers inlined, and
+  ``_compile_kernels`` compiles it once per conductor.  The inverse runs
+  on the generic convolution (``_convolve``): the product of the Galois
+  conjugates of a numerator is its cofactor against the norm, an integer.
 * ``UnitScalar`` -- an element of the divisible abelian group
   (Q/Z) + Q^k, written multiplicatively as e^(2*pi*i*r) * prod params^a_j.
   The good-tuple equations are purely multiplicative, so this group is
@@ -251,7 +254,7 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b = Scalar.common(self, other)
-        return _make(a.n, _convolve(a.n, a.num, b.num), a.den * b.den)
+        return (_KERNELS.get(a.n) or _compile_kernels(a.n))[0](a, b)
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse through the norm: with a = num/den and
@@ -339,16 +342,93 @@ class Scalar:
         return f"Scalar(N={self.n}, {self})"
 
 
+def _kernel_source(n: int) -> str:
+    """Python source of ``mul(a, b)`` and ``fms(a, c, b)`` at conductor n.
+
+    Both are straight-line code in the d = deg Phi_n numerators: the d*d
+    products summed into the 2d-1 convolution terms p_k, the fold
+    q_j = p_j + sum_{k >= d} t_kj * p_k with the integer entries t_kj of
+    z^k mod Phi_n written in as constants, the common denominator and one
+    gcd.  The source is built from index names and those integers only.
+    """
+    d = _degree(n)
+    table = _fold_table(n, 2 * d - 1)
+    idx = range(d)
+
+    def names(pattern: str) -> str:
+        """pattern.format(i) for every i < d, comma-separated; the trailing
+        comma at d = 1 keeps the list a tuple."""
+        return ", ".join(pattern.format(i) for i in idx) + ("," if d == 1 else "")
+
+    def product(x: str, y: str) -> list[str]:
+        lines = [f"{names(x + '{}')} = {x}.num", f"{names(y + '{}')} = {y}.num"]
+        for k in range(2 * d - 1):
+            terms = [f"{x}{i}*{y}{k - i}" for i in range(max(0, k - d + 1), min(k, d - 1) + 1)]
+            lines.append(f"p{k} = {' + '.join(terms)}")
+        folds = {j: [] for j in idx}
+        for k in range(d, 2 * d - 1):
+            for j, t in table[k]:
+                sign = "-" if t < 0 else "+"
+                folds[j].append(f" {sign} {abs(t)}*p{k}" if abs(t) != 1 else f" {sign} p{k}")
+        lines += [f"q{j} = p{j}{''.join(folds[j])}" for j in idx]
+        return lines
+
+    qs = names("q{}")
+    nonzero = " or ".join(f"q{j}" for j in idx)
+    lowest = [
+        f"g = gcd(den, {qs})",
+        "s = new(Scalar)",
+        "s.n = n",
+        "if g == 1:",
+        f"    s.num = ({qs})",
+        "    s.den = den",
+        "else:",
+        f"    s.num = ({names('q{} // g')})",
+        "    s.den = den // g",
+        "return s",
+    ]
+    mul = [*product("a", "b"), "den = a.den * b.den", *lowest]
+    fms = [
+        *product("c", "b"),
+        "den = c.den * b.den",
+        "if a is None:",
+        f"    if not ({nonzero}):",
+        "        return None",
+        f"    {qs} = {names('-q{}')}",
+        "else:",
+        f"    {names('a{}')} = a.num",
+        "    e = a.den",
+        "    if e == den:",
+        *(f"        q{j} = a{j} - q{j}" for j in idx),
+        "    else:",
+        "        g = gcd(e, den)",
+        "        f = den // g",
+        "        h = e // g",
+        *(f"        q{j} = a{j}*f - q{j}*h" for j in idx),
+        "        den = e * f",
+        f"    if not ({nonzero}):",
+        "        return None",
+        *lowest,
+    ]
+    body = "\n    ".join
+    return f"def mul(a, b):\n    {body(mul)}\n\n\ndef fms(a, c, b):\n    {body(fms)}\n"
+
+
+# conductor -> (mul, fms), compiled from _kernel_source on first use
+_KERNELS: dict[int, tuple] = {}
+
+
+def _compile_kernels(n: int) -> tuple:
+    """Compile the (mul, fms) pair of conductor n and cache it in _KERNELS."""
+    space = {"gcd": gcd, "new": object.__new__, "Scalar": Scalar, "n": n}
+    exec(compile(_kernel_source(n), f"<scalar kernels, conductor {n}>", "exec"), space)
+    kernels = _KERNELS[n] = (space["mul"], space["fms"])
+    return kernels
+
+
 def sc_fms(a: Scalar | None, c: Scalar, b: Scalar) -> Scalar | None:
-    """a - c*b for c, b of one conductor; None encodes zero (hot path)."""
-    prod = _convolve(c.n, c.num, b.num)
-    if a is None:
-        num, den = [-v for v in prod], c.den * b.den
-    else:
-        num, den = _difference(a.num, a.den, prod, c.den * b.den)
-    if any(num):
-        return _make(c.n, num, den)
-    return None
+    """a - c*b for a, c, b of one conductor; None encodes zero (hot path)."""
+    return (_KERNELS.get(c.n) or _compile_kernels(c.n))[1](a, c, b)
 
 
 def root_order(n: int) -> int:

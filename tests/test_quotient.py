@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import field_instances, field_w, parse_tuple
 from normext import quotient
 from normext.certify import build_extension, full_certificate
-from normext.dsl import parse_poly
+from normext.cli import default_corpus_path
+from normext.dsl import parse_algebra, parse_poly
 from normext.freealg import CoefficientModeError, Context, FreeElement, word_key
 from normext.linalg import ResourceLimitError
 from normext.quotient import (
@@ -300,6 +301,38 @@ def test_normal_form_promotes_a_smaller_conductor(engine):
     f = FreeElement.monomial(ctx, (1, 0), Scalar.from_rational(5))
     nf = GradedQuotient(pres, engine).normal_form(f)
     assert nf == FreeElement.monomial(ctx, (0, 1), Scalar.from_rational(-5, 3) * Scalar.zeta(3))
+
+
+def declared_at(name, old, new):
+    """The corpus algebra `name`, its `field cyclotomic old` line read as `new`."""
+    text = (default_corpus_path() / f"{name}.alg").read_text()
+    assert f"field cyclotomic {old}\n" in text
+    af = parse_algebra(text.replace(f"field cyclotomic {old}\n", f"field cyclotomic {new}\n"))
+    asg = af.assignment()
+    return Superpotential(af.w.specialize(asg) if asg is not None else af.w)
+
+
+@pytest.mark.parametrize("name, old, new", [("sklyanin", 3, 6), ("w_poly", 12, 24)])
+def test_dims_do_not_depend_on_the_declared_conductor(corpus_entries, name, old, new):
+    """Q(zeta_N) lies in Q(zeta_kN), so declaring an algebra at kN changes no
+    dimension.  Q(zeta_6) = Q(zeta_3) is one field with a second kernel; at
+    24 the numerators double to d = 8.  Each tuple is parsed at N and promoted."""
+    entry = corpus_entries[name]
+    tuples = [(k0, ptext) for k0, ptext, _assign, _label in field_instances(entry)]
+    tuples += [(int(k) - 1, ptext) for k, ptext in entry.expect["bad"].items()]
+    tables = {}
+    for conductor in (old, new):
+        sp = declared_at(name, old, conductor)
+        assert sp.ctx.conductor == conductor
+        presentations = [Presentation(sp.ctx, sp.f, label="A")]
+        for k0, ptext in tuples:
+            p = tuple(s.promote(conductor) for s in parse_tuple(ptext, old))
+            presentations.append(build_extension(sp, p, k0).D)
+        for engine in ("la", "gb"):
+            tables[conductor, engine] = [
+                hilbert_table(pres, sp.m + 2, engine).dims for pres in presentations
+            ]
+    assert tables[old, "la"] == tables[old, "gb"] == tables[new, "la"] == tables[new, "gb"]
 
 
 def reference_find_occurrence(state, word):

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from conftest import random_scalar
 from normext.scalars import (
     Assignment,
+    _convolve,
+    _difference,
+    _kernel_source,
+    _lowest,
     Scalar,
     SpecializeError,
     UnitExponentError,
@@ -292,3 +296,53 @@ def test_kernel_folds_long_vectors(n, vec):
     s = Scalar(n, vec)
     assert_canonical(s)
     assert s.c == ref_fold(n, vec)
+
+
+# -- the generated kernels against the generic convolution --------------
+#
+# Every hypothesis test above already multiplies through the generated
+# kernels at PROPERTY_CONDUCTORS.  These add conductors no workload
+# declares: d = 1 (N = 1, 2) and the widest fields below MAX_CONDUCTOR,
+# d = 48 (N = 105, whose Phi has a coefficient -2) and d = 112 (N = 113).
+
+
+def generic_product(c, b):
+    """(num, den) of c*b through the _convolve/_fold path, in lowest terms."""
+    return _lowest(_convolve(c.n, c.num, b.num), c.den * b.den)
+
+
+@pytest.mark.parametrize("n", [1, 2, 105, 113])
+def test_generated_kernels_match_the_generic_path(n):
+    rng = random.Random(n)
+    d = len(cyclotomic_poly(n)) - 1
+
+    def draw():  # every coefficient nonzero, so no product vanishes
+        return Scalar(n, [Fraction(rng.randint(-40, 40) or 41, rng.randint(1, 12)) for _ in range(d)])
+
+    for _ in range(40 if d == 1 else 3):
+        a, b, c = draw(), draw(), draw()
+        prod = b * c
+        assert_canonical(prod)
+        assert (prod.n, (prod.num, prod.den)) == (n, generic_product(b, c))
+        assert prod.c == ref_mul(n, b.c, c.c)
+        got = sc_fms(a, c, b)
+        want = ref_mul(n, c.c, b.c)
+        assert_canonical(got)
+        generic = _lowest(*_difference(a.num, a.den, *generic_product(c, b)))
+        assert (got.n, (got.num, got.den)) == (n, generic)
+        assert got.c == tuple(x - y for x, y in zip(a.c, want))
+        neg = sc_fms(None, c, b)
+        assert_canonical(neg)
+        assert neg.c == tuple(-v for v in want) and neg == -prod
+        assert sc_fms(c * b, c, b) is None
+        assert sc_fms(None, Scalar.zero(n), b) is None
+
+
+def test_generated_source_spells_out_the_fold_of_phi_12():
+    """Phi_12 = z^4 - z^2 + 1, so z^4 = z^2 - 1, z^5 = z^3 - z and z^6 = -1."""
+    source = _kernel_source(12)
+    print(source)
+    for line in ("q0 = p0 - p4 - p6", "q1 = p1 - p5", "q2 = p2 + p4", "q3 = p3 + p5"):
+        assert f"    {line}\n" in source
+    assert "    p3 = a0*b3 + a1*b2 + a2*b1 + a3*b0\n" in source
+    assert "    g = gcd(den, q0, q1, q2, q3)\n" in source

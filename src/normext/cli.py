@@ -221,9 +221,7 @@ class CorpusEntry:
 def load_corpus(dirpath: Path) -> list[CorpusEntry]:
     entries = []
     for alg in sorted(Path(dirpath).glob("*.alg")):
-        sidecar = alg.with_suffix("").with_suffix(".expect.json")
-        if not sidecar.exists():
-            sidecar = alg.parent / (alg.stem + ".expect.json")
+        sidecar = alg.with_name(alg.stem + ".expect.json")
         if not sidecar.exists():
             raise DslError(f"missing sidecar for corpus entry {alg.name}")
         with open(sidecar, "r", encoding="utf-8") as fh:

@@ -1,11 +1,16 @@
 """Exact sparse linear algebra over Q(zeta_N) and integer Smith form.
 
-Rows are dicts mapping a totally ordered column key (any comparable
-hashable, in practice word tuples) to nonzero ``Scalar`` values.  Pivoting
-always uses the largest column key of a row, so reduction order is
-deterministic and reproducible.  ``kernel`` and ``solve`` answer the
-dense questions (the relations among vectors, one solution of a linear
-system) on the same reducer.
+Rows are dicts mapping a totally ordered, hashable column key to nonzero
+``Scalar`` values: ``word_code`` integers in the LA engine, word tuples for
+``FreeElement.terms``, and (block, key) tuples where one row carries two
+blocks (``solve``, the superpotential's Zassenhaus intersection).  Pivoting
+always uses the largest key of a row, so reduction order is deterministic.
+
+``RowReducer.normal_form`` is the one reduction loop: ``insert``,
+``contains`` and ``solve`` all call it.  A row stored by ``insert`` is
+therefore fully reduced against the pivots stored before it.  The pivot
+set, the rank and every normal form depend only on the span and the key
+order, not on which basis of the span is stored.
 """
 
 from __future__ import annotations
@@ -31,31 +36,10 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: dict) -> dict:
-        """Reduce the leading term of row against the basis until stable."""
-        if not row:
-            return row
-        work = dict(row)
-        get_piv = self.pivots.get
-        while work:
-            lead = max(work)
-            piv = get_piv(lead)
-            if piv is None:
-                return work
-            c = work.pop(lead)
-            for k, v in piv.items():
-                if k == lead:
-                    continue
-                nv = sc_fms(work.get(k), c, v)
-                if nv is None:
-                    work.pop(k, None)
-                else:
-                    work[k] = nv
-        return work
-
     def normal_form(self, row: dict) -> dict:
-        """Reduce every term of row, so that no key of the result is a pivot:
-        as ``reduce``, but a lead without a pivot moves to the result."""
+        """The unique row congruent to row modulo the span with no pivot key:
+        the largest term is cancelled by its pivot row if it has one, and
+        moves to the result otherwise."""
         out = {}
         work = dict(row)
         get_piv = self.pivots.get
@@ -77,8 +61,9 @@ class RowReducer:
         return out
 
     def insert(self, row: dict) -> bool:
-        """Reduce then insert; True if the row enlarged the span."""
-        row = self.reduce(row)
+        """Store the normal form of row, made monic at its largest key; True
+        if the row enlarged the span."""
+        row = self.normal_form(row)
         if not row:
             return False
         lead = max(row)
@@ -101,13 +86,13 @@ class RowReducer:
             )
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return not self.normal_form(row)
 
 
-# kernel and solve reduce vector j as the row {(1, k): vector[k]} plus a unit
-# tag at (0, j).  Every tag sorts below every data key, so a reduced row
-# whose lead is a tag has no data left, and its tags are the coefficients
-# of a relation among the vectors.
+# solve reduces vector j as the row {(1, k): vector[k]} plus a unit tag at
+# (0, j).  Every tag sorts below every data key, so a reduced row whose lead
+# is a tag has no data left, and its tags are the coefficients of a relation
+# among the vectors.
 
 
 def _tagged(j: int, vector: dict, one: Scalar) -> dict:
@@ -124,22 +109,6 @@ def _one(vectors) -> Scalar:
     return Scalar.one()
 
 
-def kernel(vectors) -> list[list[Scalar]]:
-    """A basis of the x with sum_j x_j * vectors[j] = 0, as dense lists.
-
-    Vectors are sparse rows over one conductor.
-    """
-    vectors = list(vectors)
-    one = _one(vectors)
-    red = RowReducer(_tagged(j, v, one) for j, v in enumerate(vectors))
-    zero = Scalar.zero(one.n)
-    return [
-        [row.get((0, j), zero) for j in range(len(vectors))]
-        for lead, row in sorted(red.pivots.items())
-        if lead[0] == 0
-    ]
-
-
 def solve(vectors, target: dict) -> list[Scalar] | None:
     """x with sum_j x_j * vectors[j] = target, or None if target is not in
     the span.  x_j = 0 for every vectors[j] in the span of vectors[:j], so
@@ -147,7 +116,7 @@ def solve(vectors, target: dict) -> list[Scalar] | None:
     vectors = list(vectors)
     one = _one([*vectors, target])
     red = RowReducer(_tagged(j, v, one) for j, v in enumerate(vectors))
-    rest = red.reduce(_tagged(len(vectors), target, one))
+    rest = red.normal_form(_tagged(len(vectors), target, one))
     if max(rest)[0] == 1:
         return None
     zero = Scalar.zero(one.n)

@@ -86,7 +86,13 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 def _degree(n: int) -> int:
-    """d = deg Phi_n, the length of every coefficient vector at conductor n."""
+    """d = deg Phi_n, the length of every coefficient vector at conductor n.
+
+    ``Scalar.__init__``, ``promote`` and ``_kernel_source`` all ask for it,
+    so it holds the conductor ceiling.
+    """
+    if n > MAX_CONDUCTOR:
+        raise ConductorLimitError(f"conductor {n} exceeds limit {MAX_CONDUCTOR}")
     return len(cyclotomic_poly(n)) - 1
 
 
@@ -225,8 +231,6 @@ class Scalar:
             return self
         if n % self.n != 0:
             raise ScalarError(f"cannot embed conductor {self.n} into {n}")
-        if n > MAX_CONDUCTOR:
-            raise ConductorLimitError(f"conductor {n} exceeds limit {MAX_CONDUCTOR}")
         step = n // self.n
         vec = [0] * ((len(self.num) - 1) * step + 1)
         vec[::step] = self.num

@@ -7,8 +7,8 @@ construction consumes.  Only diagonal twists are recognized.
 
 from __future__ import annotations
 
-from .freealg import AlgebraError, Context, FreeElement, HomogeneityError, word_key
-from .linalg import RowReducer, kernel
+from .freealg import AlgebraError, Context, FreeElement, HomogeneityError
+from .linalg import RowReducer
 
 
 class TwistError(AlgebraError):
@@ -206,52 +206,37 @@ def coefficient_matrix(w: FreeElement) -> list[list[FreeElement]]:
     return m
 
 
-def superpotential_from_relations(rels: list[FreeElement], m: int | None = None) -> FreeElement:
-    """Recover w from (V (x) R) \\cap (R (x) V); error unless 1-dimensional."""
+def superpotential_from_relations(rels: list[FreeElement]) -> FreeElement:
+    """Recover w from (V (x) R) \\cap (R (x) V); error unless 1-dimensional.
+
+    One Zassenhaus reduction on (block, word) keys: each x_i (x) r enters
+    with its terms in block 1 and again in block 0, each r (x) x_i with its
+    terms in block 1 only.  Block 1 sorts above block 0, so a pivot row whose
+    lead lies in block 0 has no block-1 part left, and these rows are a basis
+    of the intersection.  Each is monic at its largest word, which is the
+    deglex-largest since the words share one length.
+    """
     if not rels:
         raise AlgebraError("need at least one relation")
     ctx = rels[0].ctx
     if ctx.mode != "field":
         raise AlgebraError("superpotential recovery runs in field mode")
-    degs = {r.require_homogeneous("relation") for r in rels}
-    if len(degs) != 1:
+    if len({r.require_homogeneous("relation") for r in rels}) != 1:
         raise HomogeneityError("relations must share one degree")
-    deg = degs.pop()
-    if m is not None and m != deg:
-        raise AlgebraError(f"relations have degree {deg}, expected {m}")
 
-    left = []  # x_i (x) r
-    right = []  # r (x) x_i
+    red = RowReducer()
     for i in range(ctx.n):
         for r in rels:
-            left.append({(i,) + u: c for u, c in r.terms.items()})
-            right.append({u + (i,): c for u, c in r.terms.items()})
-
-    # Each relation sum a_e left_e - sum b_f right_f = 0 gives an element
-    # sum a_e left_e of the intersection.
-    found = RowReducer()
-    witnesses = []
-    for vec in kernel(left + [{u: -c for u, c in row.items()} for row in right]):
-        elem: dict = {}
-        for e_idx, a in enumerate(vec[: len(left)]):
-            if a.is_zero():
-                continue
-            for u, c in left[e_idx].items():
-                cur = elem.get(u)
-                nv = cur + a * c if cur is not None else a * c
-                if nv.is_zero():
-                    elem.pop(u, None)
-                else:
-                    elem[u] = nv
-        if elem and found.insert(elem):
-            witnesses.append(elem)
-    if found.rank != 1:
-        raise IntersectionError(found.rank)
-    elem = witnesses[0]
-    lead = max(elem, key=word_key)
-    inv = elem[lead].inv()
+            terms = [((i,) + u, c) for u, c in r.terms.items()]
+            red.insert({(block, v): c for block in (1, 0) for v, c in terms})
+    for i in range(ctx.n):
+        for r in rels:
+            red.insert({(1, u + (i,)): c for u, c in r.terms.items()})
+    found = [row for lead, row in red.pivots.items() if lead[0] == 0]
+    if len(found) != 1:
+        raise IntersectionError(len(found))
     out = FreeElement(ctx)
-    out.terms = {u: c * inv for u, c in elem.items()}
+    out.terms = {u: c for (_, u), c in found[0].items()}
     return out
 
 

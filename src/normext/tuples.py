@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .dsl import print_poly, unit_text
 from .freealg import AlgebraError, FreeElement
-from .linalg import diagonalize_integer_matrix, solve
+from .linalg import RowReducer, diagonalize_integer_matrix
 from .scalars import Scalar, UnitScalar, unit_from_scalar
 from .superpotential import (
     DiagonalMap,
@@ -240,7 +240,7 @@ def _rational_span_contains(vectors, target) -> bool:
     def sparse(vec) -> dict:
         return {i: Scalar.from_rational(x) for i, x in enumerate(vec) if x}
 
-    return solve([sparse(v) for v in vectors], sparse(target)) is not None
+    return RowReducer(map(sparse, vectors)).contains(sparse(target))
 
 
 def w_hash(w: FreeElement) -> str:

@@ -211,6 +211,17 @@ def test_tables_missing_sidecar(tmp_path, capsys):
     assert run(["tables", str(tmp_path)]) == 2
 
 
+def test_tables_dotted_entry_reads_its_own_sidecar(tmp_path, capsys):
+    """Entry x.v2 reads x.v2.expect.json, not the sidecar of entry x."""
+    for name, table in (("x", "quadratic"), ("x.v2", "cubic")):
+        (tmp_path / f"{name}.alg").write_text(Path(W_POLY).read_text())
+        (tmp_path / f"{name}.expect.json").write_text(json.dumps({"table": table}))
+    code, out = run_cli(capsys, "tables", str(tmp_path))
+    assert code == 0
+    tables = {r["entry"]: r["table"] for r in json.loads(out)["corpus"]}
+    assert tables == {"x": "quadratic", "x.v2": "cubic"}
+
+
 def test_reports_are_deterministic(capsys):
     args = ["verify", SKEW, "--omit", "1", "--p", "2,1,1", "--bound", "6", "--engine", "gb"]
     code1, out1 = run_cli(capsys, *args)

@@ -58,6 +58,10 @@ def test_conductor_limit():
 
     with pytest.raises(ConductorLimitError):
         Scalar.zeta(7).promote(7 * 64)
+    with pytest.raises(ConductorLimitError):
+        Scalar.zeta(211)
+    with pytest.raises(ConductorLimitError):
+        Scalar(121, [1])
 
 
 def test_ring_axioms_randomized():

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_element
 from normext.dsl import parse_poly, print_poly
 from normext.freealg import Context, FreeElement
-from normext.scalars import Scalar, UnitScalar
+from normext.linalg import RowReducer
+from normext.scalars import Assignment, Scalar, UnitScalar
 from normext.superpotential import (
     DiagonalMap,
     IntersectionError,
@@ -142,6 +145,55 @@ def test_recover_every_corpus_superpotential(corpus_entries):
         rec = superpotential_from_relations(cyclic_derivatives(w))
         lead = max(w.terms, key=lambda t: (len(t), t))
         assert rec == w.scale(w.terms[lead].inv()), entry.name
+
+
+@st.composite
+def relation_sets(draw):
+    """Nonzero homogeneous relations of one degree: 2-3 letters, degree 2-3,
+    1-3 relations of 1-3 terms over Q or Q(zeta_3)."""
+    n = draw(st.sampled_from([2, 3]))
+    deg = draw(st.sampled_from([2, 3]))
+    conductor = draw(st.sampled_from([1, 3]))
+    ctx = Context(("x", "y", "z")[:n], conductor)
+    word = st.tuples(*[st.integers(0, n - 1)] * deg)
+    small = st.integers(-2, 2)
+    coeff = st.tuples(small, small).map(lambda c: Scalar(conductor, c)).filter(bool)
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        rel = FreeElement(ctx)
+        words = draw(st.lists(word, min_size=1, max_size=3, unique=True))
+        rel.terms = {w: draw(coeff) for w in words}
+        rels.append(rel)
+    return rels
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(relation_sets())
+def test_recovered_dimension_is_the_grassmann_count(rels):
+    """dim (V R) cap (R V) = rank(V R) + rank(R V) - rank(V R + R V)."""
+    n = rels[0].ctx.n
+    left = [{(i,) + u: c for u, c in r.terms.items()} for i in range(n) for r in rels]
+    right = [{u + (i,): c for u, c in r.terms.items()} for i in range(n) for r in rels]
+    want = RowReducer(left).rank + RowReducer(right).rank - RowReducer(left + right).rank
+    try:
+        w = superpotential_from_relations(rels)
+    except IntersectionError as e:
+        assert e.dim == want != 1
+    else:
+        assert want == 1
+        assert RowReducer(left).contains(w.terms) and RowReducer(right).contains(w.terms)
+        assert w.terms[max(w.terms)].is_one()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(-5, 5, max_denominator=4).filter(bool), min_size=3, max_size=3))
+def test_skew_round_trip(corpus_entries, values):
+    """skew.alg at random nonzero rational a, b, c: the potential recovered
+    from its derivatives is w made monic at its deglex-largest word."""
+    af = corpus_entries["skew"].algebra
+    w = af.w.specialize(Assignment(af.params, dict(zip(af.params, values)), conductor=af.conductor))
+    lead = max(w.terms, key=lambda t: (len(t), t))
+    assert superpotential_from_relations(Superpotential(w).f) == w.scale(w.terms[lead].inv())
 
 
 def test_eigen_scale_identity():

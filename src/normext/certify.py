@@ -208,6 +208,39 @@ def verify_hilbert(
     return {"tables": data, "diagnostics": diag}, checks
 
 
+# -- normal forms of multiples, degree by degree ------------------------------
+
+
+def multiples_by_degree(quot: GradedQuotient, e: FreeElement, left: bool):
+    """Yield {u: NF(u*e)} (left) or {u: NF(e*u)} (right) over the normal
+    words u of ``quot``, for degrees d = 0, 1, 2, ...
+
+    Degree d is built from degree d-1 alone.  A suffix of a normal word is
+    normal, so u = x_a*u' with u' = u[1:] a normal word of degree d-1, and
+    u*e = x_a*(u'*e) is congruent to x_a*NF(u'*e) modulo the ideal.  A class
+    has one normal form (Bergman's diamond lemma), so
+    NF(u*e) = NF(x_a*NF(u'*e)).  On the right, u = u'*x_a with u' = u[:-1]
+    a prefix, and NF(e*u) = NF(NF(e*u')*x_a).  Every answer is still a
+    ``quot.normal_form`` call, so under ``both`` the engines compare each one.
+    """
+    ctx = quot.pres.ctx
+    nfs = {(): quot.normal_form(e)}
+    d = 0
+    while True:
+        yield nfs
+        d += 1
+        below, nfs = nfs, {}
+        for u in quot.normal_words(d):
+            f = FreeElement(ctx)
+            if left:
+                a = u[:1]
+                f.terms = {a + w: c for w, c in below[u[1:]].terms.items()}
+            else:
+                a = u[-1:]
+                f.terms = {w + a: c for w, c in below[u[:-1]].terms.items()}
+            nfs[u] = quot.normal_form(f)
+
+
 # -- Omega: normality, centrality, regularity ---------------------------------
 
 
@@ -226,15 +259,13 @@ def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tup
 
     central = all(D.contains(xs[i] * omega - omega * xs[i]) for i in range(spec.n))
 
-    def kernel_dim(products) -> int:
-        return len(products) - RowReducer(D.normal_form(f).terms for f in products).rank
+    def kernel_dims(left: bool) -> list[int]:
+        """dim ker of u -> u*Omega (left) or u -> Omega*u, degree by degree."""
+        walk = zip(range(bound - spec.m + 1), multiples_by_degree(D, omega, left))
+        return [len(nfs) - RowReducer(f.terms for f in nfs.values()).rank for _d, nfs in walk]
 
-    right_kernels = []
-    left_kernels = []
-    for d in range(bound - spec.m + 1):
-        monos = [FreeElement.monomial(ctx, u) for u in D.normal_words(d)]
-        right_kernels.append(kernel_dim([u * omega for u in monos]))
-        left_kernels.append(kernel_dim([omega * u for u in monos]))
+    right_kernels = kernel_dims(left=True)
+    left_kernels = kernel_dims(left=False)
 
     regular = not any(right_kernels) and not any(left_kernels)
     diag = {
@@ -351,31 +382,35 @@ class ResolutionData:
         return out
 
 
-def _graded_map_rows(quot, entries, shifts_src, shifts_tgt, deg):
-    """Rows of the degree-deg block of a right-multiplication map."""
-    ctx = quot.pres.ctx
-    rows = []
-    src_dim = 0
-    for s, a_s in enumerate(shifts_src):
-        d_src = deg - a_s
-        if d_src < 0:
-            continue
-        words = quot.normal_words(d_src)
-        src_dim += len(words)
-        for u in words:
-            row: dict = {}
-            for t, _b_t in enumerate(shifts_tgt):
-                ent = entries[s][t]
-                if ent is None or ent.is_zero():
-                    continue
-                prod = FreeElement(ctx)
-                prod.terms = {u + w: c for w, c in ent.terms.items()}
-                img = quot.normal_form(prod)
-                for wd, c in img.terms.items():
-                    row[(t, word_key(wd))] = c
-            if row:
-                rows.append(row)
-    return rows, src_dim
+def _graded_map_rows(quot, entries, shifts_src):
+    """Yield (rows, source dimension) of the degree-deg block of the map
+    that right-multiplies a row vector by the matrix ``entries``, for
+    deg = 0, 1, 2, ...  Each nonzero entry has its own
+    ``multiples_by_degree`` walk, advanced once per degree from the degree
+    its source shift reaches 0."""
+    walks = [
+        [(t, multiples_by_degree(quot, ent, True)) for t, ent in enumerate(row) if not ent.is_zero()]
+        for row in entries
+    ]
+    deg = 0
+    while True:
+        rows = []
+        src_dim = 0
+        for s, a_s in enumerate(shifts_src):
+            if deg < a_s:
+                continue
+            images = [(t, next(walk)) for t, walk in walks[s]]
+            words = quot.normal_words(deg - a_s)
+            src_dim += len(words)
+            for u in words:
+                row: dict = {}
+                for t, nfs in images:
+                    for wd, c in nfs[u].terms.items():
+                        row[(t, word_key(wd))] = c
+                if row:
+                    rows.append(row)
+        yield rows, src_dim
+        deg += 1
 
 
 def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tuple[dict, list]:
@@ -417,14 +452,17 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
     shifts_p1 = [1] * n
     e43 = [[FreeElement.gen(ctx, res.perm[t]) for t in range(n)]]
     e10 = [[FreeElement.gen(ctx, res.perm[s])] for s in range(n)]
+    maps = [
+        _graded_map_rows(D, e43, shifts_p4),
+        _graded_map_rows(D, res.Ml, shifts_p3),
+        _graded_map_rows(D, res.Mr, shifts_p2),
+        _graded_map_rows(D, e10, shifts_p1),
+    ]
     exact_ok = True
     exact_witness = None
     rank_rows = []
     for deg in range(bound + 1):
-        rows4, dim4 = _graded_map_rows(D, e43, shifts_p4, shifts_p3, deg)
-        rows3, dim3 = _graded_map_rows(D, res.Ml, shifts_p3, shifts_p2, deg)
-        rows2, dim2 = _graded_map_rows(D, res.Mr, shifts_p2, shifts_p1, deg)
-        rows1, dim1 = _graded_map_rows(D, e10, shifts_p1, [0], deg)
+        (rows4, dim4), (rows3, dim3), (rows2, dim2), (rows1, dim1) = (next(m) for m in maps)
         r4, r3, r2, r1 = (RowReducer(r).rank for r in (rows4, rows3, rows2, rows1))
         conds = {
             "P4_injective": r4 == dim4,

@@ -15,7 +15,7 @@ order, not on which basis of the span is stored.
 
 from __future__ import annotations
 
-from .scalars import Scalar, sc_fms
+from .scalars import Scalar, fms_kernel
 
 
 class ResourceLimitError(RuntimeError):
@@ -39,10 +39,12 @@ class RowReducer:
     def normal_form(self, row: dict) -> dict:
         """The unique row congruent to row modulo the span with no pivot key:
         the largest term is cancelled by its pivot row if it has one, and
-        moves to the result otherwise."""
+        moves to the result otherwise.  The row and the pivots share one
+        conductor, whose ``fms`` kernel is fetched at the first cancellation."""
         out = {}
         work = dict(row)
         get_piv = self.pivots.get
+        fms = None
         while work:
             lead = max(work)
             c = work.pop(lead)
@@ -50,10 +52,12 @@ class RowReducer:
             if piv is None:
                 out[lead] = c
                 continue
+            if fms is None:
+                fms = fms_kernel(c.n)
             for k, v in piv.items():
                 if k == lead:
                     continue
-                nv = sc_fms(work.get(k), c, v)
+                nv = fms(work.get(k), c, v)
                 if nv is None:
                     work.pop(k, None)
                 else:

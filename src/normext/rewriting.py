@@ -24,7 +24,8 @@ The read side relies on both facts.  At most one lead starts at any
 position of a word, so the leftmost occurrence is one dict lookup per
 distinct lead length.  Words of different degrees never meet and, within
 one degree, tuple order is deglex order, so a normal form rewrites the
-tuple-largest word left and adds each tail term with one ``sc_fms``.
+tuple-largest word left and adds each tail term with one call of the
+conductor's compiled ``fms``, fetched once per normal form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import heapq
 from typing import TYPE_CHECKING
 
 from .freealg import FreeElement, word_key
-from .scalars import sc_fms
+from .scalars import fms_kernel
 
 if TYPE_CHECKING:
     from .quotient import Presentation
@@ -89,6 +90,7 @@ class GBState:
         ctx = self.pres.ctx
         n = ctx.conductor
         rules = self.rules
+        fms = fms_kernel(n)  # every coefficient here has conductor n
         work = {w: c.promote(n) for w, c in f.terms.items() if c}
         out: dict = {}
         while work:
@@ -103,7 +105,7 @@ class GBState:
             neg = -coeff
             for tw, tc in rules[lead].terms.items():
                 nw = u + tw + v
-                s = sc_fms(work.get(nw), neg, tc)
+                s = fms(work.get(nw), neg, tc)
                 if s is None:
                     work.pop(nw, None)
                 else:

@@ -12,9 +12,11 @@ Two coefficient domains coexist:
   these paths.  For ``a*b`` and ``sc_fms`` that whole computation is a
   fixed formula in the d numerators, so ``_kernel_source`` writes it out
   as straight-line Python with the table's integers inlined, and
-  ``_compile_kernels`` compiles it once per conductor.  The inverse runs
-  on the generic convolution (``_convolve``): the product of the Galois
-  conjugates of a numerator is its cofactor against the norm, an integer.
+  ``_compile_kernels`` compiles it once per conductor; ``fms_kernel``
+  hands a reduction loop the one ``fms`` of its conductor.  The inverse of
+  a rational is read off; any other inverse runs on the generic
+  convolution (``_convolve``): the product of the Galois conjugates of a
+  numerator is its cofactor against the norm, an integer.
 * ``UnitScalar`` -- an element of the divisible abelian group
   (Q/Z) + Q^k, written multiplicatively as e^(2*pi*i*r) * prod params^a_j.
   The good-tuple equations are purely multiplicative, so this group is
@@ -179,6 +181,24 @@ def _make(n: int, num: list[int], den: int) -> "Scalar":
     return s
 
 
+def _norm_inverse(a: "Scalar") -> "Scalar":
+    """a^(-1) through the norm, for a != 0: with a = num/den and
+    c = prod_{sigma != 1} sigma(num) over the Galois automorphisms
+    sigma_k: z -> z^k (k coprime to N), num * c = N(num) is a nonzero
+    integer, so a^(-1) = den * c / N(num)."""
+    n, num = a.n, a.num
+    cofactor = [1] + [0] * (len(num) - 1)
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            spread = [0] * n
+            for i, v in enumerate(num):
+                spread[i * k % n] += v
+            cofactor = _convolve(n, cofactor, _fold(n, spread, len(num)))
+    norm = _convolve(n, num, cofactor)[0]
+    sign = 1 if norm > 0 else -1
+    return _make(n, [sign * a.den * v for v in cofactor], sign * norm)
+
+
 class Scalar:
     """Element of Q(zeta_N) in canonical form.
 
@@ -261,23 +281,16 @@ class Scalar:
         return (_KERNELS.get(a.n) or _compile_kernels(a.n))[0](a, b)
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse through the norm: with a = num/den and
-        c = prod_{sigma != 1} sigma(num) over the Galois automorphisms
-        sigma_k: z -> z^k (k coprime to N), num * c = N(num) is a nonzero
-        integer, so a^(-1) = den * c / N(num)."""
+        """Multiplicative inverse.  A rational num_0/den inverts to
+        den/num_0, its sign moved to the numerator; any other scalar goes
+        through ``_norm_inverse``.  Both results are canonical, so they agree."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        n, num = self.n, self.num
-        cofactor = [1] + [0] * (len(num) - 1)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                spread = [0] * n
-                for i, v in enumerate(num):
-                    spread[i * k % n] += v
-                cofactor = _convolve(n, cofactor, _fold(n, spread, len(num)))
-        norm = _convolve(n, num, cofactor)[0]
-        sign = 1 if norm > 0 else -1
-        return _make(n, [sign * self.den * v for v in cofactor], sign * norm)
+        num = self.num
+        if not any(num[1:]):
+            sign = 1 if num[0] > 0 else -1
+            return _make(self.n, [sign * self.den] + [0] * (len(num) - 1), sign * num[0])
+        return _norm_inverse(self)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -433,6 +446,13 @@ def _compile_kernels(n: int) -> tuple:
 def sc_fms(a: Scalar | None, c: Scalar, b: Scalar) -> Scalar | None:
     """a - c*b for a, c, b of one conductor; None encodes zero (hot path)."""
     return (_KERNELS.get(c.n) or _compile_kernels(c.n))[1](a, c, b)
+
+
+def fms_kernel(n: int):
+    """The compiled ``fms(a, c, b)`` of conductor n, which ``sc_fms``
+    dispatches to: a loop whose operands all have conductor n fetches it
+    once instead of once per term."""
+    return (_KERNELS.get(n) or _compile_kernels(n))[1]
 
 
 def root_order(n: int) -> int:

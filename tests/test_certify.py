@@ -1,7 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from conftest import field_instances, field_w, parse_tuple
 from normext.certify import (
     BuildError,
     ExtensionSpec,
@@ -9,6 +13,7 @@ from normext.certify import (
     build_extension,
     full_certificate,
     hdet_certificate,
+    multiples_by_degree,
     nakayama,
     omega_certificate,
     predicted_dims,
@@ -227,8 +232,6 @@ def test_hdet_factors():
 
 
 def test_full_certificate_json_roundtrip():
-    import json
-
     spec = poly_spec()
     cert = full_certificate(spec, bound=6)
     blob = json.loads(cert.dumps())
@@ -256,3 +259,57 @@ def test_theorem_equivalence_three_routes():
         _d2, rchecks = resolution_certificate(spec, gb(spec.D), 8)
         complex_ok = {c.name: c for c in rchecks}["complex_property"].passed
         assert good == expect and hchecks[0].passed == expect and complex_ok == expect
+
+
+def corpus_specs(corpus_entries):
+    """(label, spec) for every corpus instance and bad tuple, each labelled
+    as ``perfbench/reference.json`` keys it and built as ``normext verify``
+    builds it."""
+    out = []
+    for entry in sorted(corpus_entries.values(), key=lambda e: e.name):
+        cases = field_instances(entry)
+        cases += [(int(k) - 1, t, None, f"{entry.name}:k={k}:p=({t})") for k, t in entry.expect["bad"].items()]
+        for k0, ptext, assign, label in cases:
+            sp = Superpotential(field_w(entry, assign))
+            p = parse_tuple(ptext, entry.algebra.conductor)
+            out.append((label, build_extension(sp, p, k0, label=f"D({entry.name})")))
+    return out
+
+
+@pytest.mark.parametrize("engine", ["la", "gb", "both"])
+def test_normal_forms_from_the_degree_below_equal_direct_ones(corpus_entries, engine):
+    """Each degree's dict equals NF(u*e) or NF(e*u) built from u directly, for
+    Omega on both sides and every nonzero entry of M_l and M_r, to the degree
+    the certificate at 2m+2 walks it."""
+    specs = corpus_specs(corpus_entries)
+    assert len(specs) == 24
+    for label, spec in specs:
+        m, n = spec.m, spec.n
+        bound = 2 * m + 2
+        D = GradedQuotient(spec.D, engine)
+        res = ResolutionData(spec)
+        cases = [(spec.omega, True, bound - m), (spec.omega, False, bound - m)]
+        cases += [(e, True, bound - 2 * m) for row in res.Ml for e in row if not e.is_zero()]
+        shifts_p2 = [m] * (n - 1) + [m + 1] * (n - 1)
+        cases += [(e, True, bound - a) for row, a in zip(res.Mr, shifts_p2) for e in row if not e.is_zero()]
+        for e, left, top in cases:
+            for d, nfs in zip(range(top + 1), multiples_by_degree(D, e, left)):
+                words = D.normal_words(d)
+                assert list(nfs) == words, (label, d)
+                for u in words:
+                    mono = FreeElement.monomial(spec.ctx, u)
+                    direct = D.normal_form(mono * e if left else e * mono)
+                    assert nfs[u].terms == direct.terms, (label, engine, left, u)
+
+
+def test_reports_equal_the_benchmark_reference(corpus_entries):
+    """``verify --engine gb --bound m+2`` prints, byte for byte, what the
+    benchmark recorded for every corpus instance and bad tuple."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text(encoding="utf-8"))
+    for label, spec in corpus_specs(corpus_entries):
+        key = f"verify:gb:{spec.m + 2}:{label}"
+        if key not in reference:
+            pytest.fail(f"{path} has no entry {key!r}")
+        text = full_certificate(spec, bound=spec.m + 2, engine="gb").dumps()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[key], key

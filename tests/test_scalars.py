@@ -13,6 +13,7 @@ from normext.scalars import (
     _difference,
     _kernel_source,
     _lowest,
+    _norm_inverse,
     Scalar,
     SpecializeError,
     UnitExponentError,
@@ -278,6 +279,19 @@ def test_kernel_inverse_and_text_match_reference(data):
         assert ref_mul(n, ca, inv.c) == ref_fold(n, [Fraction(1)])
     else:
         assert a == Scalar.zero(n) and a.num == (0,) * len(ca) and a.den == 1
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2, 3, 4, 5, 7, 12, 15, 24]), fractions.filter(bool))
+def test_rational_inverse_equals_the_norm_path(n, q):
+    """A rational skips the Galois norm; the canonical form makes the two
+    results equal part by part."""
+    a = Scalar(n, [q])
+    inv = a.inv()
+    assert_canonical(inv)
+    want = _norm_inverse(a)
+    assert (inv.n, inv.num, inv.den) == (want.n, want.num, want.den)
+    assert inv.c == ref_fold(n, [1 / q])
 
 
 @PROPERTY

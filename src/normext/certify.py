@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement, word_key
-from .linalg import RowReducer
+from .linalg import RowReducer, same_span
 from .quotient import GradedQuotient, Presentation
 from .superpotential import (
     DiagonalMap,
@@ -102,11 +102,7 @@ class ExtensionSpec:
 
     def _check_quotient_span(self) -> None:
         """Adding f_k to D's degree-m relations must give A's relation span."""
-        red_a = RowReducer(f.terms for f in self.sp.f)
-        red_d = RowReducer(f.terms for f in self.kept + [self.omega])
-        if red_a.rank != red_d.rank or not all(
-            red_a.contains(f.terms) for f in self.kept + [self.omega]
-        ):
+        if not same_span((f.terms for f in self.sp.f), (f.terms for f in self.kept + [self.omega])):
             raise ResolutionDefect("D relations + Omega do not recover A's relation span")
 
     def goodness(self) -> GoodnessResult:

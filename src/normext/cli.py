@@ -87,6 +87,21 @@ def _require(option, name: str):
     return option
 
 
+def _field_instance(args, need_omit: bool = True):
+    """(af, sp, k, p): the file, its field superpotential, the 0-based --omit
+    and the --p tuple; k and p are None when --omit is optional and absent."""
+    af = parse_algebra_file(args.file)
+    sp = _field_superpotential(af, args.assign)
+    if args.omit is None and not need_omit:
+        return af, sp, None, None
+    k = _require(args.omit, "--omit") - 1
+    return af, sp, k, _parse_field_tuple(_require(args.p, "--p"), sp.ctx)
+
+
+def _twist_texts(sp: Superpotential) -> list[str]:
+    return [str(s) if sp.ctx.mode == "field" else s.text(sp.ctx.params) for s in sp.twist.scales]
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -96,7 +111,7 @@ def cmd_check_superpotential(args) -> int:
     out = {
         "algebra": af.name,
         "degree": sp.ell,
-        "twist": [str(s) if sp.ctx.mode == "field" else s.text(sp.ctx.params) for s in sp.twist.scales],
+        "twist": _twist_texts(sp),
         "is_superpotential": sp.twist.is_identity(),
         "derivatives_independent": sp.derivatives_independent(),
     }
@@ -112,7 +127,7 @@ def cmd_derive(args) -> int:
         "w": print_poly(sp.w),
         "derivatives": [print_poly(f) for f in sp.f],
         "trailing": [print_poly(g) for g in sp.g],
-        "twist": [str(s) if sp.ctx.mode == "field" else s.text(sp.ctx.params) for s in sp.twist.scales],
+        "twist": _twist_texts(sp),
     }
     _emit(out)
     return 0
@@ -138,22 +153,16 @@ def cmd_solve_tuples(args) -> int:
 
 
 def cmd_build_extension(args) -> int:
-    af = parse_algebra_file(args.file)
-    sp = _field_superpotential(af, args.assign)
-    k = _require(args.omit, "--omit") - 1
-    p = _parse_field_tuple(_require(args.p, "--p"), sp.ctx)
+    af, sp, k, p = _field_instance(args)
     spec = build_extension(sp, p, k, label=f"D({af.name})")
     _emit(spec.describe())
     return 0
 
 
 def cmd_hilbert(args) -> int:
-    af = parse_algebra_file(args.file)
-    sp = _field_superpotential(af, args.assign)
-    if args.omit is not None:
-        p = _parse_field_tuple(_require(args.p, "--p"), sp.ctx)
-        spec = build_extension(sp, p, args.omit - 1, label=f"D({af.name})")
-        pres = spec.D
+    af, sp, k, p = _field_instance(args, need_omit=False)
+    if k is not None:
+        pres = build_extension(sp, p, k, label=f"D({af.name})").D
     else:
         pres = Presentation(sp.ctx, sp.f, label=f"A({af.name})")
     bound = args.bound if args.bound is not None else default_bound(sp.m)
@@ -163,10 +172,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    af = parse_algebra_file(args.file)
-    sp = _field_superpotential(af, args.assign)
-    k = _require(args.omit, "--omit") - 1
-    p = _parse_field_tuple(_require(args.p, "--p"), sp.ctx)
+    af, sp, k, p = _field_instance(args)
     spec = build_extension(sp, p, k, label=f"D({af.name})")
     cert = full_certificate(spec, bound=args.bound, engine=args.engine)
     _emit(cert.to_json())
@@ -198,10 +204,7 @@ def cmd_family_probe(args) -> int:
 
 
 def cmd_zhang(args) -> int:
-    af = parse_algebra_file(args.file)
-    sp = _field_superpotential(af, args.assign)
-    k = _require(args.omit, "--omit") - 1
-    p = _parse_field_tuple(_require(args.p, "--p"), sp.ctx)
+    _af, sp, k, p = _field_instance(args)
     sigma = DiagonalMap(sp.ctx, _parse_field_tuple(_require(args.sigma, "--sigma"), sp.ctx))
     report = zhang_certificate(sp, p, k, sigma)
     _emit(report.to_json())

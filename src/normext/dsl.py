@@ -10,17 +10,23 @@ File grammar (UTF-8, ``#`` comments, whitespace-insensitive)::
     rels = <ncpoly> (";" <ncpoly>)* ;
 
 An ncpoly is a signed sum of ``<coef>*<word>`` terms, the word being
-generators joined by ``*``.  Coefficient atoms: rationals ``p/q``, root of
-unity ``z^k`` (zeta_N^k for the declared conductor), ``e(p/q)`` (meaning
-e^(2*pi*i*p/q)), parameters ``a`` or ``a^{r}``, and in field mode a
-parenthesized sum of such monomials.  When an algebra declares a generator
-named ``z``, the letter resolves as that generator inside words and the
+generators joined by ``*``.  A coefficient is a product of atoms, read by
+one grammar in both domains (a ``Scalar`` in Q(zeta_N) in field mode, a
+``UnitScalar`` in unit mode): rationals ``p/q`` (only 1 in unit mode), the
+root of unity ``z^k`` (zeta_N^k for the declared conductor) or ``e(p/q)``
+(meaning e^(2*pi*i*p/q)), parameters ``a`` or ``a^{r}`` (unit mode), and
+in field mode a parenthesized signed sum of products, which may begin with
+a sign: ``(-3 + z + 2*z^2)``.  When an algebra declares a generator named
+``z``, the letter resolves as that generator inside words and the
 root-of-unity literal is unavailable there.
 
 Assignment targets are ``a := <scalar>`` or ``a^{1/q} := <scalar>`` (a
 designated q-th root, e.g. ``alpha^{1/2} := 2``).
 
-The printer emits terms in deglex order; ``parse(print(f)) == f``.
+The printer emits terms in deglex order; ``parse(print(f)) == f`` at every
+conductor.  Field coefficients are spelled by ``Scalar.term_texts``, unit
+coefficients by ``UnitScalar.text``, which writes ``z^k`` only when given
+the conductor; both write ``e(k/N)`` when ``z`` is a generator.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import Context, FreeElement, word_key
-from .scalars import MAX_CONDUCTOR, Assignment, Scalar, UnitScalar
+from .scalars import MAX_CONDUCTOR, Assignment, Scalar, UnitScalar, signed_sum, torsion_scalar
 
 _TOKEN_RE = re.compile(
     r"""
@@ -118,13 +124,28 @@ class _Parser:
         t = self.peek()
         return t.kind in ("sym", "assign") and t.text == s
 
-    # -- rationals -------------------------------------------------------
-
-    def rational(self) -> Fraction:
+    def signs(self) -> bool:
+        """Consume a run of "+" and "-"; True when it negates."""
         neg = False
         while self.at_sym("-") or self.at_sym("+"):
             if self.next().text == "-":
                 neg = not neg
+        return neg
+
+    def star_then(self, ok) -> bool:
+        """Consume a "*" when the token after it satisfies ok."""
+        if self.at_sym("*") and ok(self.toks[self.i + 1]):
+            self.next()
+            return True
+        return False
+
+    def is_gen(self, t: Token) -> bool:
+        return t.kind == "ident" and t.text in self.gen_names
+
+    # -- rationals -------------------------------------------------------
+
+    def rational(self) -> Fraction:
+        neg = self.signs()
         t = self.next()
         if t.kind != "num":
             raise DslError(f"expected number, found {t.text!r}", t.line, t.col)
@@ -147,191 +168,118 @@ class _Parser:
         self.expect_sym("}")
         return v
 
-    # -- scalar literals ---------------------------------------------------
+    # -- coefficients ------------------------------------------------------
+    # ``params`` is None for a field coefficient (a Scalar) and the
+    # parameter names for a unit coefficient (a UnitScalar over them).
 
-    def scalar_atom_field(self, conductor: int) -> Scalar:
+    def root(self, conductor: int) -> Fraction | None:
+        """The r of a root of unity e^(2*pi*i*r) written ``z^k`` (r = k/N)
+        or ``e(r)``; None, consuming nothing, when neither follows."""
         t = self.peek()
-        if t.kind == "num":
-            return Scalar.from_rational(self.rational(), conductor)
-        if t.kind == "ident" and t.text == "z" and "z" not in self.gen_names:
-            self.next()
-            k = 1
-            if self.at_sym("^"):
-                self.next()
-                tn = self.next()
-                if tn.kind != "num":
-                    raise DslError("expected integer power of z", tn.line, tn.col)
-                k = int(tn.text)
-            return Scalar.zeta(conductor, k)
-        if t.kind == "ident" and t.text == "e":
-            self.next()
+        if t.kind != "ident" or t.text not in ("z", "e") or self.is_gen(t):
+            return None
+        self.next()
+        if t.text == "e":
             self.expect_sym("(")
             r = self.rational()
             self.expect_sym(")")
-            from .scalars import torsion_scalar
-
-            return torsion_scalar(r, conductor)
-        if self.at_sym("("):
+            return r
+        k = 1
+        if self.at_sym("^"):
             self.next()
-            total = Scalar.zero(conductor)
-            sign = 1
-            while True:
-                part = self.scalar_monomial_field(conductor)
-                total = total + (part if sign > 0 else -part)
-                if self.at_sym("+"):
-                    self.next()
-                    sign = 1
-                elif self.at_sym("-"):
-                    self.next()
-                    sign = -1
-                else:
-                    break
-            self.expect_sym(")")
-            return total
-        self.error(f"expected scalar literal, found {t.text!r}")
+            tn = self.next()
+            if tn.kind != "num":
+                raise DslError("expected integer power of z", tn.line, tn.col)
+            k = int(tn.text)
+        return Fraction(k, conductor)
 
-    def scalar_monomial_field(self, conductor: int) -> Scalar:
-        out = self.scalar_atom_field(conductor)
-        while self.at_sym("*"):
-            save = self.i
-            self.next()
-            t = self.peek()
-            is_coeff_atom = t.kind == "num" or (
-                t.kind == "ident"
-                and t.text not in self.gen_names
-                and t.text in ("z", "e")
-            ) or (t.kind == "sym" and t.text == "(")
-            if not is_coeff_atom:
-                self.i = save  # a generator (or nothing coefficient-like) follows
-                break
-            out = out * self.scalar_atom_field(conductor)
-        return out
+    def starts_atom(self, t: Token, params) -> bool:
+        if t.kind == "num":
+            return True
+        if t.kind == "ident":
+            return not self.is_gen(t) and (t.text in ("z", "e") or t.text in (params or ()))
+        return params is None and t.text == "("
 
-    def scalar_field(self, conductor: int) -> Scalar:
-        neg = False
-        while self.at_sym("-") or self.at_sym("+"):
-            if self.next().text == "-":
-                neg = not neg
-        v = self.scalar_monomial_field(conductor)
-        return -v if neg else v
-
-    def unit_atom(self, conductor: int, params) -> UnitScalar:
-        k = len(params)
+    def atom(self, conductor: int, params):
         t = self.peek()
         if t.kind == "num":
             v = self.rational()
-            if v == 1:
-                return UnitScalar.one(k)
-            if v == -1:
-                return UnitScalar.minus_one(k)
+            if params is None:
+                return Scalar.from_rational(v, conductor)
+            if v in (1, -1):
+                return (UnitScalar.one if v == 1 else UnitScalar.minus_one)(len(params))
             raise DslError(
                 f"rational {v} is not a unit-group element (declare a parameter)",
                 t.line,
                 t.col,
             )
-        if t.kind == "ident" and t.text == "z" and "z" not in self.gen_names:
+        r = self.root(conductor)
+        if r is not None:
+            if params is None:
+                return torsion_scalar(r, conductor)
+            return UnitScalar(r, (0,) * len(params))
+        if params is None and self.at_sym("("):
             self.next()
-            p = 1
-            if self.at_sym("^"):
-                self.next()
-                tn = self.next()
-                if tn.kind != "num":
-                    raise DslError("expected integer power of z", tn.line, tn.col)
-                p = int(tn.text)
-            return UnitScalar(Fraction(p, conductor), (Fraction(0),) * k)
-        if t.kind == "ident" and t.text == "e":
-            self.next()
-            self.expect_sym("(")
-            r = self.rational()
+            total = self.coefficient(conductor, None)
+            while self.at_sym("+") or self.at_sym("-"):
+                total = total + self.coefficient(conductor, None)
             self.expect_sym(")")
-            return UnitScalar(r, (Fraction(0),) * k)
-        if t.kind == "ident" and t.text in params:
+            return total
+        if params is not None and t.kind == "ident" and t.text in params:
             self.next()
-            r = Fraction(1)
+            e = Fraction(1)
             if self.at_sym("^"):
                 self.next()
                 if self.at_sym("{"):
-                    r = self.braced_rational()
+                    e = self.braced_rational()
                 else:
                     tn = self.next()
                     if tn.kind != "num":
                         raise DslError("expected exponent", tn.line, tn.col)
-                    r = Fraction(int(tn.text))
-            return UnitScalar.param(params.index(t.text), k).pow(r)
-        self.error(f"expected unit literal, found {t.text!r}")
+                    e = Fraction(int(tn.text))
+            return UnitScalar.param(params.index(t.text), len(params)).pow(e)
+        domain = "scalar" if params is None else "unit"
+        self.error(f"expected {domain} literal, found {t.text!r}")
 
-    def unit_scalar(self, conductor: int, params) -> UnitScalar:
-        neg = False
-        while self.at_sym("-") or self.at_sym("+"):
-            if self.next().text == "-":
-                neg = not neg
-        out = self.unit_atom(conductor, params)
-        while self.at_sym("*"):
-            save = self.i
+    def product(self, conductor: int, params):
+        """Atoms joined by "*"; stops before a "*" that a generator follows."""
+        out = self.atom(conductor, params)
+        while self.star_then(lambda t: self.starts_atom(t, params)):
+            out = out * self.atom(conductor, params)
+        return out
+
+    def coefficient(self, conductor: int, params):
+        neg = self.signs()
+        v = self.product(conductor, params)
+        return -v if neg else v
+
+    def assignment(self, conductor: int) -> tuple[str, int | None, Scalar]:
+        """``a := <scalar>`` or ``a^{1/q} := <scalar>``: (a, q or None, value)."""
+        name = self.expect_ident().text
+        q = None
+        if self.at_sym("^"):
             self.next()
-            t = self.peek()
-            is_unit_atom = t.kind == "num" or (
-                t.kind == "ident"
-                and t.text not in self.gen_names
-                and (t.text in ("z", "e") or t.text in params)
-            )
-            if not is_unit_atom:
-                self.i = save
-                break
-            out = out * self.unit_atom(conductor, params)
-        return -out if neg else out
+            rexp = self.braced_rational()
+            if rexp.numerator != 1:
+                raise DslError(f"root designation exponent must be 1/q, got {rexp}")
+            q = rexp.denominator
+        self.expect_sym(":=")
+        return name, q, self.coefficient(conductor, None)
 
     # -- polynomials ---------------------------------------------------------
 
-    def word(self, ctx: Context) -> tuple:
-        letters = []
-        while True:
-            t = self.peek()
-            if t.kind == "ident" and t.text in ctx.gens:
-                letters.append(ctx.gens.index(self.next().text))
-                if self.at_sym("*"):
-                    save = self.i
-                    self.next()
-                    t2 = self.peek()
-                    if t2.kind == "ident" and t2.text in ctx.gens:
-                        continue
-                    self.i = save
-                    break
-                break
-            break
-        return tuple(letters)
-
     def term(self, ctx: Context) -> FreeElement:
-        neg = False
-        while self.at_sym("-") or self.at_sym("+"):
-            if self.next().text == "-":
-                neg = not neg
-        t = self.peek()
-        coeff = None
-        starts_with_gen = t.kind == "ident" and t.text in ctx.gens
-        if not starts_with_gen:
-            if ctx.mode == "field":
-                coeff = self.scalar_monomial_field(ctx.conductor)
-            else:
-                coeff = self.unit_scalar(ctx.conductor, ctx.params)
-            if self.at_sym("*"):
-                save = self.i
-                self.next()
-                t2 = self.peek()
-                if not (t2.kind == "ident" and t2.text in ctx.gens):
-                    self.i = save
-                    word = ()
-                else:
-                    word = self.word(ctx)
-            else:
-                word = ()
+        neg = self.signs()
+        if self.is_gen(self.peek()):
+            coeff, more = ctx.one(), True
         else:
-            word = self.word(ctx)
-        if coeff is None:
-            coeff = ctx.one()
-        if neg:
-            coeff = -coeff
-        return FreeElement.monomial(ctx, word, coeff)
+            coeff = self.product(ctx.conductor, ctx.params if ctx.mode == "unit" else None)
+            more = self.star_then(self.is_gen)
+        word = []
+        while more:
+            word.append(ctx.gens.index(self.next().text))
+            more = self.star_then(self.is_gen)
+        return FreeElement.monomial(ctx, tuple(word), -coeff if neg else coeff)
 
     def ncpoly(self, ctx: Context) -> FreeElement:
         saved = self.gen_names
@@ -344,6 +292,12 @@ class _Parser:
         finally:
             self.gen_names = saved
         return out
+
+    def done(self, value):
+        """value, once no input is left."""
+        if self.peek().kind != "end":
+            self.error(f"trailing input {self.peek().text!r}")
+        return value
 
 
 @dataclass
@@ -405,8 +359,7 @@ def parse_algebra(text: str) -> AlgebraFile:
         raise DslError(f"conductor must lie in 1..{MAX_CONDUCTOR}", ntok.line, ntok.col)
 
     params: list[str] = []
-    raw_assigns: list[tuple[str, Fraction | None]] = []  # (target, root-exp) placeholders
-    pending: list[tuple[str, Fraction | None, Scalar]] = []
+    pending: list[tuple[str, int | None, Scalar]] = []  # (target, root q, value)
     while p.peek().kind == "ident" and p.peek().text == "param":
         p.next()
         nm = p.expect_ident()
@@ -415,14 +368,7 @@ def parse_algebra(text: str) -> AlgebraFile:
         params.append(nm.text)
         while p.at_sym(";"):
             p.next()
-            target = p.expect_ident().text
-            rexp: Fraction | None = None
-            if p.at_sym("^"):
-                p.next()
-                rexp = p.braced_rational()
-            p.expect_sym(":=")
-            val = p.scalar_field(conductor)
-            pending.append((target, rexp, val))
+            pending.append(p.assignment(conductor))
 
     tok = p.expect_ident()
     if tok.text != "gens":
@@ -436,15 +382,13 @@ def parse_algebra(text: str) -> AlgebraFile:
             raise DslError(f"{g!r} cannot be a generator name")
 
     out = AlgebraFile(name=name, conductor=conductor, params=tuple(params), gens=tuple(gens))
-    for target, rexp, val in pending:
+    for target, q, val in pending:
         if target not in params:
             raise DslError(f"assignment to undeclared parameter {target!r}")
-        if rexp is None:
+        if q is None:
             out.values[target] = val
         else:
-            if rexp.numerator != 1:
-                raise DslError(f"root designation exponent must be 1/q, got {rexp}")
-            out.roots[(target, rexp.denominator)] = val
+            out.roots[(target, q)] = val
 
     ctx = out.context()
     tok = p.expect_ident()
@@ -465,9 +409,7 @@ def parse_algebra(text: str) -> AlgebraFile:
             p.expect_sym(";")
     else:
         raise DslError("expected 'w = ...' or 'rels = ...'", tok.line, tok.col)
-    if p.peek().kind != "end":
-        p.error(f"trailing input {p.peek().text!r}")
-    return out
+    return p.done(out)
 
 
 def parse_algebra_file(path) -> AlgebraFile:
@@ -477,26 +419,17 @@ def parse_algebra_file(path) -> AlgebraFile:
 
 def parse_poly(text: str, ctx: Context) -> FreeElement:
     p = _Parser(text)
-    out = p.ncpoly(ctx)
-    if p.peek().kind != "end":
-        p.error(f"trailing input {p.peek().text!r}")
-    return out
+    return p.done(p.ncpoly(ctx))
 
 
 def parse_scalar(text: str, conductor: int) -> Scalar:
     p = _Parser(text)
-    v = p.scalar_field(conductor)
-    if p.peek().kind != "end":
-        p.error(f"trailing input {p.peek().text!r}")
-    return v
+    return p.done(p.coefficient(conductor, None))
 
 
 def parse_unit(text: str, conductor: int, params) -> UnitScalar:
     p = _Parser(text)
-    v = p.unit_scalar(conductor, tuple(params))
-    if p.peek().kind != "end":
-        p.error(f"trailing input {p.peek().text!r}")
-    return v
+    return p.done(p.coefficient(conductor, tuple(params)))
 
 
 def parse_assignment_text(text: str, conductor: int):
@@ -505,19 +438,11 @@ def parse_assignment_text(text: str, conductor: int):
     roots: dict[tuple[str, int], Scalar] = {}
     p = _Parser(text)
     while p.peek().kind != "end":
-        name = p.expect_ident().text
-        rexp = None
-        if p.at_sym("^"):
-            p.next()
-            rexp = p.braced_rational()
-        p.expect_sym(":=")
-        val = p.scalar_field(conductor)
-        if rexp is None:
+        name, q, val = p.assignment(conductor)
+        if q is None:
             values[name] = val
         else:
-            if rexp.numerator != 1:
-                raise DslError("root designation exponent must be 1/q")
-            roots[(name, rexp.denominator)] = val
+            roots[(name, q)] = val
         if p.at_sym(","):
             p.next()
     return values, roots
@@ -528,53 +453,8 @@ def parse_assignment_text(text: str, conductor: int):
 
 def scalar_text(s: Scalar, allow_z: bool = True) -> str:
     """Canonical coefficient text; parenthesized when not a basis monomial."""
-    nonzero = [(k, v) for k, v in enumerate(s.c) if v]
-    if not nonzero:
-        return "0"
-    if len(nonzero) == 1:
-        k, v = nonzero[0]
-        if k == 0:
-            return str(v)
-        z = ("z" if k == 1 else f"z^{k}") if allow_z else f"e({Fraction(k, s.n)})"
-        if v == 1:
-            return z
-        if v == -1:
-            return f"-{z}"
-        return f"{v}*{z}"
-    if allow_z:
-        return f"({s})"
-    parts = []
-    for k, v in nonzero:
-        parts.append(scalar_text(Scalar(s.n, [0] * k + [v]), allow_z=False))
-    body = parts[0]
-    for t in parts[1:]:
-        body += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return f"({body})"
-
-
-def unit_text(c: UnitScalar, params, conductor: int, allow_z: bool = True) -> str:
-    """Canonical unit coefficient text, preferring z^k over e(r)."""
-    sign = ""
-    factors = []
-    tor = c.tor
-    if tor == Fraction(1, 2):
-        sign = "-"
-    elif tor != 0:
-        k = tor * conductor
-        if k.denominator == 1 and allow_z:
-            factors.append("z" if k == 1 else f"z^{int(k)}")
-        else:
-            factors.append(f"e({tor})")
-    for name, e in zip(params, c.exps):
-        if e == 0:
-            continue
-        if e == 1:
-            factors.append(name)
-        else:
-            factors.append(f"{name}^{{{e}}}")
-    if not factors:
-        return sign + "1"
-    return sign + "*".join(factors)
+    terms = s.term_texts(allow_z)
+    return f"({signed_sum(terms)})" if len(terms) > 1 else signed_sum(terms)
 
 
 def _coeff_word_text(ctx: Context, w, c) -> str:
@@ -583,7 +463,7 @@ def _coeff_word_text(ctx: Context, w, c) -> str:
     if ctx.mode == "field":
         txt = scalar_text(c, allow_z=allow_z)
     else:
-        txt = unit_text(c, ctx.params, ctx.conductor, allow_z=allow_z)
+        txt = c.text(ctx.params, ctx.conductor if allow_z else None)
     if not word:
         return txt
     if txt == "1":
@@ -594,15 +474,4 @@ def _coeff_word_text(ctx: Context, w, c) -> str:
 
 
 def print_poly(f: FreeElement) -> str:
-    if not f.terms:
-        return "0"
-    parts = []
-    for w in sorted(f.terms, key=word_key):
-        parts.append(_coeff_word_text(f.ctx, w, f.terms[w]))
-    out = parts[0]
-    for t in parts[1:]:
-        if t.startswith("-"):
-            out += f" - {t[1:]}"
-        else:
-            out += f" + {t}"
-    return out
+    return signed_sum([_coeff_word_text(f.ctx, w, f.terms[w]) for w in sorted(f.terms, key=word_key)])

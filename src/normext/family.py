@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .certify import ExtensionSpec, build_extension
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement
-from .linalg import RowReducer, solve
+from .linalg import RowReducer, same_span, solve
 from .quotient import Presentation, hilbert_table, membership
 from .scalars import Scalar
 from .superpotential import DiagonalMap, Superpotential, eigen_scale
@@ -194,12 +194,13 @@ def zhang_certificate(sp: Superpotential, p, k: int, sigma: DiagonalMap) -> Zhan
     sp_tw = Superpotential(zhang_twist(sp.w, sigma))
     right = build_extension(sp_tw, p_prime, k, label="D'").D
     degrees = sorted({r.degree for r in left.relations} | {r.degree for r in right.relations})
-    ok = True
-    for d in degrees:
-        rb = [r.terms for r in right.relations if r.degree == d]
-        ra = RowReducer(r.terms for r in left.relations if r.degree == d)
-        if ra.rank != RowReducer(rb).rank or not all(ra.contains(r) for r in rb):
-            ok = False
+    ok = all(
+        same_span(
+            (r.terms for r in left.relations if r.degree == d),
+            (r.terms for r in right.relations if r.degree == d),
+        )
+        for d in degrees
+    )
     return ZhangReport(
         hdet=scalar_text(hd),
         p_prime=[scalar_text(v) for v in p_prime],

@@ -93,6 +93,14 @@ class RowReducer:
         return not self.normal_form(row)
 
 
+def same_span(rows, others) -> bool:
+    """Do the two lists of rows span the same space?  Equal rank, and the
+    span of rows contains every one of others."""
+    others = list(others)
+    red = RowReducer(rows)
+    return red.rank == RowReducer(others).rank and all(red.contains(r) for r in others)
+
+
 # solve reduces vector j as the row {(1, k): vector[k]} plus a unit tag at
 # (0, j).  Every tag sorts below every data key, so a reduced row whose lead
 # is a tag has no data left, and its tags are the coefficients of a relation

@@ -274,7 +274,10 @@ class Scalar:
         return _make(a.n, *_difference(a.num, a.den, b.num, b.den))
 
     def __neg__(self) -> "Scalar":
-        return _make(self.n, [-v for v in self.num], self.den)
+        """Negating the numerators keeps the form canonical: no gcd."""
+        s = Scalar.__new__(Scalar)
+        s.n, s.num, s.den = self.n, tuple([-v for v in self.num]), self.den
+        return s
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b = Scalar.common(self, other)
@@ -333,27 +336,22 @@ class Scalar:
 
     # -- text ------------------------------------------------------------
 
-    def __str__(self) -> str:
-        terms = []
+    def term_texts(self, allow_z: bool = True) -> list[str]:
+        """One text per nonzero term v*z^k, from k = 0 up: ``v``, ``z^k``,
+        ``-z^k`` or ``v*z^k``, the root spelled ``e(k/N)`` unless allow_z."""
+        out = []
         for k, v in enumerate(self.c):
-            if v == 0:
+            if not v:
                 continue
             if k == 0:
-                terms.append(str(v))
-            else:
-                z = "z" if k == 1 else f"z^{k}"
-                if v == 1:
-                    terms.append(z)
-                elif v == -1:
-                    terms.append(f"-{z}")
-                else:
-                    terms.append(f"{v}*{z}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
+                out.append(str(v))
+                continue
+            z = root_text(Fraction(k, self.n), self.n if allow_z else None)
+            out.append(z if v == 1 else f"-{z}" if v == -1 else f"{v}*{z}")
         return out
+
+    def __str__(self) -> str:
+        return signed_sum(self.term_texts())
 
     def __repr__(self) -> str:
         return f"Scalar(N={self.n}, {self})"
@@ -477,6 +475,26 @@ def torsion_scalar(r: Fraction, n: int) -> Scalar:
     return -Scalar.zeta(n, ((j + n) // 2) % n)
 
 
+def root_text(r: Fraction, conductor: int | None = None) -> str:
+    """e^(2*pi*i*r) as ``z^k`` when r*N = k is an integer for the given
+    conductor N (zeta_N^k), as ``e(r)`` otherwise."""
+    if conductor and (r * conductor).denominator == 1:
+        k = int(r * conductor)
+        return "z" if k == 1 else f"z^{k}"
+    return f"e({r})"
+
+
+def signed_sum(texts) -> str:
+    """Term texts joined by " + ", a term's leading "-" becoming " - "; "0"
+    for no terms."""
+    if not texts:
+        return "0"
+    out = texts[0]
+    for t in texts[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
 def recognize_torsion(s: Scalar) -> Fraction | None:
     """Return r with s = e^(2*pi*i*r), or None if s is not a root of unity."""
     m = root_order(s.n)
@@ -555,25 +573,15 @@ class UnitScalar:
         """Append `extra` zero exponent slots (new formal symbols)."""
         return UnitScalar(self.tor, self.exps + (Fraction(0),) * extra)
 
-    def text(self, params=()) -> str:
-        factors = []
-        if self.tor == Fraction(1, 2):
-            sign = "-"
-        elif self.tor != 0:
-            sign = ""
-            factors.append(f"e({self.tor})")
-        else:
-            sign = ""
+    def text(self, params=(), conductor: int | None = None) -> str:
+        """``-1``, ``e(1/8)*a^{-1/2}``, ...: the sign, the root of unity (see
+        ``root_text``; ``z^k`` only when given the conductor) and params^exps."""
+        sign = "-" if self.tor == Fraction(1, 2) else ""
+        factors = [root_text(self.tor, conductor)] if self.tor and not sign else []
         for name, e in zip(params, self.exps):
-            if e == 0:
-                continue
-            if e == 1:
-                factors.append(name)
-            else:
-                factors.append(f"{name}^{{{e}}}")
-        if not factors:
-            return sign + "1"
-        return sign + "*".join(factors)
+            if e:
+                factors.append(name if e == 1 else f"{name}^{{{e}}}")
+        return sign + ("*".join(factors) or "1")
 
     def __str__(self) -> str:
         return self.text([f"t{i+1}" for i in range(len(self.exps))])

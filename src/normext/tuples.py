@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dsl import print_poly, unit_text
+from .dsl import print_poly
 from .freealg import AlgebraError, FreeElement
 from .linalg import RowReducer, diagonalize_integer_matrix
 from .scalars import Scalar, UnitScalar, unit_from_scalar
@@ -164,7 +164,7 @@ class SolutionFamily:
 
     def entry_texts(self, coset_index: int = 0, conductor: int = 1) -> list[str]:
         names = tuple(self.params) + self.symbols
-        return [unit_text(u, names, conductor) for u in self.member_units(coset_index)]
+        return [u.text(names, conductor) for u in self.member_units(coset_index)]
 
     def _torsion_reachable(self, delta) -> bool:
         """Is delta (mod 1) of the form sum_d t_d * v_d with rational t?"""

@@ -108,9 +108,27 @@ def test_mul_associative_randomized():
 
 def test_print_parse_roundtrip_randomized():
     rng = random.Random(31337)
-    for _ in range(40):
-        f = random_element(rng, CTX, rng.randint(0, 4), rng.randint(0, 6))
-        assert parse_poly(print_poly(f), CTX) == f
+    contexts = [
+        CTX,
+        Context(("x", "y"), 3),
+        Context(("x", "y", "w"), 4),
+        Context(("x", "y"), 12),
+        # a generator named z: roots of unity print as e(k/N)
+        Context(("x", "y", "z"), 12),
+    ]
+    for ctx in contexts:
+        for _ in range(40):
+            f = random_element(rng, ctx, rng.randint(0, 4), rng.randint(0, 6))
+            f = f.scale(Scalar.from_rational(Fraction(rng.randint(1, 5), rng.randint(1, 6)), ctx.conductor))
+            assert parse_poly(print_poly(f), ctx) == f
+    for ctx, text in [
+        (contexts[1], "(-3 + z)*x*x - (-1/2 - z)*y"),
+        (contexts[3], "(-3 + z + 2*z^2)*x*x"),
+        (contexts[4], "(-3 + e(1/12) + 2*e(1/6))*x*x"),
+    ]:
+        f = parse_poly(text, ctx)
+        assert len(f.terms[(0, 0)].term_texts()) > 1
+        assert parse_poly(print_poly(f), ctx) == f
 
 
 def test_print_parse_roundtrip_unit_mode():

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 
 from .dsl import print_poly, scalar_text
-from .freealg import AlgebraError, FreeElement, word_key
+from .freealg import AlgebraError, FreeElement
 from .linalg import RowReducer, same_span
 from .quotient import GradedQuotient, Presentation
 from .superpotential import (
@@ -256,9 +256,15 @@ def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tup
     central = all(D.contains(xs[i] * omega - omega * xs[i]) for i in range(spec.n))
 
     def kernel_dims(left: bool) -> list[int]:
-        """dim ker of u -> u*Omega (left) or u -> Omega*u, degree by degree."""
+        """dim ker of u -> u*Omega (left) or u -> Omega*u, degree by degree;
+        the images are rows over the positions of D's normal words."""
+        dims = []
         walk = zip(range(bound - spec.m + 1), multiples_by_degree(D, omega, left))
-        return [len(nfs) - RowReducer(f.terms for f in nfs.values()).rank for _d, nfs in walk]
+        for d, nfs in walk:
+            pos = {w: i for i, w in enumerate(D.normal_words(d + spec.m))}
+            rows = ({pos[w]: c for w, c in f.terms.items()} for f in nfs.values())
+            dims.append(len(nfs) - RowReducer(rows).rank)
+        return dims
 
     right_kernels = kernel_dims(left=True)
     left_kernels = kernel_dims(left=False)
@@ -383,11 +389,24 @@ def _graded_map_rows(quot, entries, shifts_src):
     that right-multiplies a row vector by the matrix ``entries``, for
     deg = 0, 1, 2, ...  Each nonzero entry has its own
     ``multiples_by_degree`` walk, advanced once per degree from the degree
-    its source shift reaches 0."""
+    its source shift reaches 0.
+
+    The columns are numbered i * width + t for the i-th normal word of
+    target block t, where width is the number of target blocks: every word
+    of one block has one degree, so the numbering is one to one, and only
+    the rank is read off the rows."""
+    width = len(entries[0])
     walks = [
-        [(t, multiples_by_degree(quot, ent, True)) for t, ent in enumerate(row) if not ent.is_zero()]
+        [(t, ent.degree, multiples_by_degree(quot, ent, True)) for t, ent in enumerate(row) if not ent.is_zero()]
         for row in entries
     ]
+    index: dict[int, dict] = {}  # degree -> {normal word: its position}
+
+    def positions(d: int) -> dict:
+        if d not in index:
+            index[d] = {w: i for i, w in enumerate(quot.normal_words(d))}
+        return index[d]
+
     deg = 0
     while True:
         rows = []
@@ -395,14 +414,14 @@ def _graded_map_rows(quot, entries, shifts_src):
         for s, a_s in enumerate(shifts_src):
             if deg < a_s:
                 continue
-            images = [(t, next(walk)) for t, walk in walks[s]]
+            images = [(t, positions(deg - a_s + e), next(walk)) for t, e, walk in walks[s]]
             words = quot.normal_words(deg - a_s)
             src_dim += len(words)
             for u in words:
                 row: dict = {}
-                for t, nfs in images:
+                for t, pos, nfs in images:
                     for wd, c in nfs[u].terms.items():
-                        row[(t, word_key(wd))] = c
+                        row[pos[wd] * width + t] = c
                 if row:
                     rows.append(row)
         yield rows, src_dim

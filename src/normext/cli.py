@@ -71,8 +71,12 @@ def _field_superpotential(af: AlgebraFile, assign_text: str | None) -> Superpote
 
 
 def _symbolic_superpotential(af: AlgebraFile, assign_text: str | None) -> Superpotential:
-    """Unit-mode form when parameters exist, field form otherwise."""
+    """Unit-mode form when parameters exist, field form otherwise.  The
+    unit-mode form does not use ``assign_text``, but reads it, so that bad
+    text is an input error here as it is for the field form."""
     if af.w is not None:
+        if assign_text:
+            af.assignment(assign_text)
         return Superpotential(af.w)
     return _field_superpotential(af, assign_text)
 

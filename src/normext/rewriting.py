@@ -20,12 +20,18 @@ completing at once: the reduced system truncated at degree d is unique
 (its leads are the minimal leading words of the ideal through degree d,
 and each tail is the normal form of its lead).
 
-The read side relies on both facts.  At most one lead starts at any
-position of a word, so the leftmost occurrence is one dict lookup per
-distinct lead length.  Words of different degrees never meet and, within
-one degree, tuple order is deglex order, so a normal form rewrites the
-tuple-largest word left and adds each tail term with one call of the
-conductor's compiled ``fms``, fetched once per normal form.
+The read side relies on both facts.  Beside each listed degree's normal
+words ``normal_words`` keeps them as a frozenset, and ``normal_form``
+lists every degree up to its element's top degree before it reduces, so a
+word already normal is recognized by one set lookup.  The sets stay exact
+while completion goes on: ``extend`` adds only leads of degree above every
+listed degree, which no listed word is long enough to contain.  Any other
+word is scanned for its leftmost lead: at most one lead starts at any
+position, so that is one dict lookup per distinct lead length.  Words of
+different degrees never meet and, within one degree, tuple order is deglex
+order, so a normal form rewrites the tuple-largest word left and adds each
+tail term with one call of the conductor's compiled ``fms``, fetched once
+per normal form.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ class GBState:
         self.log: list[tuple] = []  # processed ambiguities (lead1, lead2, word)
         self._lengths: list[int] = []  # distinct lead lengths, ascending
         self._words: list[list[tuple]] = [[()]]  # normal words by degree
+        self._normal: list[frozenset] = [frozenset(self._words[0])]  # the same, as sets
         self._counter = 0
 
     # -- reduction ---------------------------------------------------------
@@ -73,10 +80,11 @@ class GBState:
         return None
 
     def normal_form(self, f: FreeElement) -> FreeElement:
-        """Deglex normal form of f, completing through its degree first."""
-        for w in f.terms:
-            if len(w) > self.bound:
-                self.extend(len(w))
+        """Deglex normal form of f, completing and listing the normal words
+        through its top degree first."""
+        top = max(map(len, f.terms), default=0)
+        if top >= len(self._normal):
+            self.normal_words(top)
         return self._normal_form(f)
 
     def _normal_form(self, f: FreeElement) -> FreeElement:
@@ -85,17 +93,23 @@ class GBState:
         The rules are homogeneous, so words of different degrees never meet,
         and within one degree tuple order is deglex order: each step rewrites
         the largest word left, with its full coefficient, and every word it
-        produces is smaller, so no word is rewritten twice.
+        produces is smaller, so no word is rewritten twice.  A word of a
+        listed degree is normal exactly when it is in that degree's set.
         """
         ctx = self.pres.ctx
         n = ctx.conductor
         rules = self.rules
+        normal = self._normal
+        listed = len(normal)
         fms = fms_kernel(n)  # every coefficient here has conductor n
         work = {w: c.promote(n) for w, c in f.terms.items() if c}
         out: dict = {}
         while work:
             word = max(work)
             coeff = work.pop(word)
+            if len(word) < listed and word in normal[len(word)]:
+                out[word] = coeff
+                continue
             occ = self._find_occurrence(word)
             if occ is None:
                 out[word] = coeff
@@ -205,19 +219,20 @@ class GBState:
 
         A prefix of a normal word is normal, so degree d extends the normal
         words of degree d-1 by one letter and checks only the new suffixes.
-        The lists are cached; callers must not mutate them.
+        The lists, and their sets for ``_normal_form``, are cached; callers
+        must not mutate them.
         """
         self.extend(d)
         rules = self.rules
         lengths = self._lengths
         letters = range(self.pres.ctx.n)
         while len(self._words) <= d:
-            self._words.append(
-                [
-                    nw
-                    for w in self._words[-1]
-                    for nw in (w + (a,) for a in letters)
-                    if not any(nw[-k:] in rules for k in lengths)
-                ]
-            )
+            words = [
+                nw
+                for w in self._words[-1]
+                for nw in (w + (a,) for a in letters)
+                if not any(nw[-k:] in rules for k in lengths)
+            ]
+            self._words.append(words)
+            self._normal.append(frozenset(words))
         return self._words[d]

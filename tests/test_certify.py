@@ -302,6 +302,20 @@ def test_normal_forms_from_the_degree_below_equal_direct_ones(corpus_entries, en
                     assert nfs[u].terms == direct.terms, (label, engine, left, u)
 
 
+@pytest.mark.parametrize("label", ["sklyanin:k=2:p=(z^2,1,z)", "cubic_a:k=2:p=(-1,1)"])
+def test_engines_agree_at_the_default_bound(corpus_entries, label):
+    """Above the benchmark's bound 2m+2, at the default 2m+4, gb and la
+    certify the same checks, tables, rank profile and annihilator dims."""
+    spec = dict(corpus_specs(corpus_entries))[label]
+    gb_cert, la_cert = (full_certificate(spec, engine=engine).to_json() for engine in ("gb", "la"))
+    assert gb_cert["bound"] == 2 * spec.m + 4 and gb_cert["pass"]
+    assert gb_cert["checks"] == la_cert["checks"]
+    assert gb_cert["tables"] == la_cert["tables"]
+    for key in ("rank_profile", "right_annihilator_dims", "left_annihilator_dims"):
+        assert gb_cert["diagnostics"][key] == la_cert["diagnostics"][key], key
+    assert gb_cert == la_cert
+
+
 def test_reports_equal_the_benchmark_reference(corpus_entries):
     """``verify --engine gb --bound m+2`` prints, byte for byte, what the
     benchmark recorded for every corpus instance and bad tuple."""

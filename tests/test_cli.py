@@ -191,6 +191,19 @@ def test_assign_override_lpwz(capsys):
     assert "-1/8*x*x*x*y + 1/4*x*x*y*x - 1/2*x*y*x*x + y*x*x*x" in blob["relations"]
 
 
+@pytest.mark.parametrize("verb", ["derive", "check-superpotential", "solve-tuples"])
+@pytest.mark.parametrize("assign", ["nonsense", "alpha^{2}:=3"])
+def test_symbolic_commands_read_assign(verb, assign, capsys):
+    """Bad --assign text is an input error, as for hilbert; good text leaves
+    the symbolic report as it is without --assign."""
+    argv = [verb, S2] + (["--omit", "1"] if verb == "solve-tuples" else [])
+    assert run([*argv, "--assign", assign]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert run(["hilbert", S2, "--assign", assign]) == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *argv, "--assign", "alpha:=-4") == run_cli(capsys, *argv)
+
+
 def test_tables_command(capsys):
     code, out = run_cli(capsys, "tables", str(CORPUS))
     assert code == 0

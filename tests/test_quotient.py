@@ -406,3 +406,33 @@ def test_rewriting_matches_the_reference_scan(completed, data):
         f = FreeElement(ctx, data.draw(st.dictionaries(words, scalars, max_size=6)))
         want = reference_normal_form(gb, f)
         assert exact_terms(gb.normal_form(f).terms) == exact_terms(want), gb.pres.label
+
+
+def a_and_one_good_d(entries):
+    """(A, m) and (D, m) of every corpus entry, D at its first instance."""
+    out = []
+    for entry in sorted(entries.values(), key=lambda e: e.name):
+        k0, ptext, assign, _label = field_instances(entry)[0]
+        sp = Superpotential(field_w(entry, assign))
+        spec = build_extension(sp, parse_tuple(ptext, entry.algebra.conductor), k0)
+        out += [(spec.A, sp.m), (spec.D, sp.m)]
+    return out
+
+
+def test_normal_word_sets_agree_with_the_scan_across_staged_completion(corpus_entries):
+    """Normal words listed degree by degree stay the words with no lead
+    while the completion is extended further, since every lead added later
+    is longer than every listed word; normal forms read off the sets equal
+    the reference loop's against the final rules."""
+    for pres, m in a_and_one_good_d(corpus_entries):
+        state = GBState(pres)
+        for d in range(m + 4):
+            state.normal_words(d)
+        state.extend(m + 5)
+        for d in range(m + 4):
+            for word in product(range(pres.ctx.n), repeat=d):
+                normal = reference_find_occurrence(state, word) is None
+                assert (word in state._normal[d]) == normal, (pres.label, word)
+                f = FreeElement.monomial(pres.ctx, word)
+                want = exact_terms(reference_normal_form(state, f))
+                assert exact_terms(state.normal_form(f).terms) == want, (pres.label, word)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import neg
 
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement
@@ -384,20 +385,77 @@ class ResolutionData:
         return out
 
 
-def _graded_map_rows(quot, entries, shifts_src):
+def resolution_maps(spec: ExtensionSpec, res: ResolutionData) -> list:
+    """(entries, source shifts) of the four maps P4 -> P3 -> P2 -> P1 -> P0
+    of the candidate resolution, in the permuted generator order."""
+    ctx, n, m = spec.ctx, spec.n, spec.m
+    return [
+        ([[FreeElement.gen(ctx, res.perm[t]) for t in range(n)]], [2 * m + 1]),
+        (res.Ml, [2 * m] * n),
+        (res.Mr, [m] * (n - 1) + [m + 1] * (n - 1)),
+        ([[FreeElement.gen(ctx, res.perm[s])] for s in range(n)], [1] * n),
+    ]
+
+
+class EntryWalks:
+    """Left ``multiples_by_degree`` walks, one per map entry up to a nonzero
+    scalar: an entry c*e', with e' monic at its deglex lead, reads e''s
+    walk, since NF(u*c*e') = c*NF(u*e').  The resolution's maps share the
+    letters (e43 and e10), each M[a][b] (M_l and M_r) and multiples of
+    letters, each map at its own fixed lag, so a walk's degree is made on
+    its first read and dropped after its last.  These are the walks the
+    entries would make on their own, each made once, and every step is
+    still a ``quot.normal_form`` call."""
+
+    def __init__(self, quot: GradedQuotient) -> None:
+        self.quot = quot
+        self._walks: list = []  # [e', its walk, readers, {degree: [nfs, reads left]}]
+
+    def reader(self, ent: FreeElement):
+        """(scale, degrees) for the nonzero entry c*e': degrees yields
+        {u: NF(u*e')} for d = 0, 1, 2, ..., and scale maps its coefficients
+        to the entry's (None for c = 1, a negation for c = -1).  A walk's
+        readers must all be made before it is read."""
+        c = ent.terms[max(ent.terms)]  # one degree: tuple order is deglex
+        monic = ent if c.is_one() else ent.scale(c.inv())
+        walk = next((w for w in self._walks if w[0] == monic), None)
+        if walk is None:
+            walk = [monic, multiples_by_degree(self.quot, monic, True), 0, {}]
+            self._walks.append(walk)
+        walk[2] += 1
+        scale = None if c.is_one() else neg if (-c).is_one() else c.__mul__
+        return scale, self._degrees(walk)
+
+    @staticmethod
+    def _degrees(walk):
+        steps, kept = walk[1], walk[3]
+        d = 0
+        while True:
+            if d not in kept:
+                kept[d] = [next(steps), walk[2]]
+            slot = kept[d]
+            slot[1] -= 1
+            if not slot[1]:
+                del kept[d]
+            yield slot[0]
+            d += 1
+
+
+def _graded_map_rows(walks: EntryWalks, entries, shifts_src):
     """Yield (rows, source dimension) of the degree-deg block of the map
     that right-multiplies a row vector by the matrix ``entries``, for
-    deg = 0, 1, 2, ...  Each nonzero entry has its own
-    ``multiples_by_degree`` walk, advanced once per degree from the degree
-    its source shift reaches 0.
+    deg = 0, 1, 2, ...  Each nonzero entry reads its walk from ``walks``
+    once per degree, from the degree its source shift reaches 0; its
+    readers are made here, before the first row is asked for.
 
     The columns are numbered i * width + t for the i-th normal word of
     target block t, where width is the number of target blocks: every word
     of one block has one degree, so the numbering is one to one, and only
     the rank is read off the rows."""
+    quot = walks.quot
     width = len(entries[0])
-    walks = [
-        [(t, ent.degree, multiples_by_degree(quot, ent, True)) for t, ent in enumerate(row) if not ent.is_zero()]
+    readers = [
+        [(t, ent.degree, *walks.reader(ent)) for t, ent in enumerate(row) if not ent.is_zero()]
         for row in entries
     ]
     index: dict[int, dict] = {}  # degree -> {normal word: its position}
@@ -407,29 +465,34 @@ def _graded_map_rows(quot, entries, shifts_src):
             index[d] = {w: i for i, w in enumerate(quot.normal_words(d))}
         return index[d]
 
-    deg = 0
-    while True:
-        rows = []
-        src_dim = 0
-        for s, a_s in enumerate(shifts_src):
-            if deg < a_s:
-                continue
-            images = [(t, positions(deg - a_s + e), next(walk)) for t, e, walk in walks[s]]
-            words = quot.normal_words(deg - a_s)
-            src_dim += len(words)
-            for u in words:
-                row: dict = {}
-                for t, pos, nfs in images:
-                    for wd, c in nfs[u].terms.items():
-                        row[pos[wd] * width + t] = c
-                if row:
-                    rows.append(row)
-        yield rows, src_dim
-        deg += 1
+    def blocks():
+        deg = 0
+        while True:
+            rows = []
+            src_dim = 0
+            for s, a_s in enumerate(shifts_src):
+                if deg < a_s:
+                    continue
+                images = [
+                    (t, positions(deg - a_s + e), scale, next(walk))
+                    for t, e, scale, walk in readers[s]
+                ]
+                words = quot.normal_words(deg - a_s)
+                src_dim += len(words)
+                for u in words:
+                    row: dict = {}
+                    for t, pos, scale, nfs in images:
+                        for wd, c in nfs[u].terms.items():
+                            row[pos[wd] * width + t] = c if scale is None else scale(c)
+                    if row:
+                        rows.append(row)
+            yield rows, src_dim
+            deg += 1
+
+    return blocks()
 
 
 def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tuple[dict, list]:
-    ctx = spec.ctx
     n = spec.n
     m = spec.m
     res = ResolutionData(spec)  # raises ResolutionDefect unless the identities hold
@@ -461,18 +524,8 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
     euler_ok = not any(residuals)
 
     # (c) degree-wise rank exactness of the candidate complex
-    shifts_p4 = [2 * m + 1]
-    shifts_p3 = [2 * m] * n
-    shifts_p2 = [m] * (n - 1) + [m + 1] * (n - 1)
-    shifts_p1 = [1] * n
-    e43 = [[FreeElement.gen(ctx, res.perm[t]) for t in range(n)]]
-    e10 = [[FreeElement.gen(ctx, res.perm[s])] for s in range(n)]
-    maps = [
-        _graded_map_rows(D, e43, shifts_p4),
-        _graded_map_rows(D, res.Ml, shifts_p3),
-        _graded_map_rows(D, res.Mr, shifts_p2),
-        _graded_map_rows(D, e10, shifts_p1),
-    ]
+    walks = EntryWalks(D)
+    maps = [_graded_map_rows(walks, entries, shifts) for entries, shifts in resolution_maps(spec, res)]
     exact_ok = True
     exact_witness = None
     rank_rows = []

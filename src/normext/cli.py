@@ -412,10 +412,29 @@ HANDLERS = {
 }
 
 
+# options whose value may begin with a minus sign
+SIGNED_VALUE_OPTIONS = ("--p", "--sigma", "--points")
+
+
+def _attach_signed_values(argv: list) -> list:
+    """Write "--p -1,1" as "--p=-1,1".  argparse reads a token that begins
+    with "-" as an option unless it looks like a negative number, so a
+    tuple led by a negative entry would need the "=" form.  A following
+    token that is itself an option ("--bound", "-h") stays separate, so
+    "--p --bound 4" is still refused."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in SIGNED_VALUE_OPTIONS and tok[:1] == "-" and tok != "-h" and tok[:2] != "--":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -7,10 +7,13 @@ blocks (``solve``, the superpotential's Zassenhaus intersection).  Pivoting
 always uses the largest key of a row, so reduction order is deterministic.
 
 ``RowReducer.normal_form`` is the one reduction loop: ``insert``,
-``contains`` and ``solve`` all call it.  A row stored by ``insert`` is
-therefore fully reduced against the pivots stored before it.  The pivot
-set, the rank and every normal form depend only on the span and the key
-order, not on which basis of the span is stored.
+``contains`` and ``solve`` all call it.  Keys without a pivot are final
+and bypass the ordering; only keys with a pivot are cancelled, largest
+first.  A row stored by ``insert`` is therefore fully reduced against the
+pivots stored before it, and monic at its largest key (it is rescaled only
+when its lead coefficient is not already one).  The pivot set, the rank
+and every normal form depend only on the span and the key order, not on
+which basis of the span is stored.
 """
 
 from __future__ import annotations
@@ -37,42 +40,51 @@ class RowReducer:
         return len(self.pivots)
 
     def normal_form(self, row: dict) -> dict:
-        """The unique row congruent to row modulo the span with no pivot key:
-        the largest term is cancelled by its pivot row if it has one, and
-        moves to the result otherwise.  The row and the pivots share one
-        conductor, whose ``fms`` kernel is fetched at the first cancellation."""
+        """The unique row congruent to row modulo the span with no pivot key.
+
+        A key without a pivot is final, so it goes straight to the result;
+        only keys with a pivot are kept in the working set, whose largest
+        key is cancelled by its pivot row.  Pivots do not change during the
+        call and a cancellation adds only smaller keys, so a cancelled key
+        never returns, and exact arithmetic makes every coefficient
+        independent of the order of its additions.  The row and the pivots
+        share one conductor, whose ``fms`` kernel is fetched at the first
+        cancellation."""
+        pivots = self.pivots
         out = {}
-        work = dict(row)
-        get_piv = self.pivots.get
+        work = {}
+        for k, c in row.items():
+            (work if k in pivots else out)[k] = c
         fms = None
         while work:
             lead = max(work)
             c = work.pop(lead)
-            piv = get_piv(lead)
-            if piv is None:
-                out[lead] = c
-                continue
             if fms is None:
                 fms = fms_kernel(c.n)
-            for k, v in piv.items():
+            for k, v in pivots[lead].items():
                 if k == lead:
                     continue
-                nv = fms(work.get(k), c, v)
+                dest = work if k in pivots else out
+                nv = fms(dest.get(k), c, v)
                 if nv is None:
-                    work.pop(k, None)
+                    dest.pop(k, None)
                 else:
-                    work[k] = nv
+                    dest[k] = nv
         return out
 
     def insert(self, row: dict) -> bool:
         """Store the normal form of row, made monic at its largest key; True
-        if the row enlarged the span."""
+        if the row enlarged the span.  A row whose lead is already one is
+        stored as it is."""
         row = self.normal_form(row)
         if not row:
             return False
         lead = max(row)
-        inv = row[lead].inv()
-        self._store(lead, {k: v * inv for k, v in row.items()})
+        c = row[lead]
+        if not c.is_one():
+            inv = c.inv()
+            row = {k: v * inv for k, v in row.items()}
+        self._store(lead, row)
         return True
 
     def insert_pivot_row(self, row: dict) -> None:

@@ -23,15 +23,16 @@ and each tail is the normal form of its lead).
 The read side relies on both facts.  Beside each listed degree's normal
 words ``normal_words`` keeps them as a frozenset, and ``normal_form``
 lists every degree up to its element's top degree before it reduces, so a
-word already normal is recognized by one set lookup.  The sets stay exact
-while completion goes on: ``extend`` adds only leads of degree above every
-listed degree, which no listed word is long enough to contain.  Any other
-word is scanned for its leftmost lead: at most one lead starts at any
-position, so that is one dict lookup per distinct lead length.  Words of
-different degrees never meet and, within one degree, tuple order is deglex
-order, so a normal form rewrites the tuple-largest word left and adds each
-tail term with one call of the conductor's compiled ``fms``, fetched once
-per normal form.
+word already normal is recognized by one set lookup and goes straight to
+the result, whether it is in the input or produced by a rewrite; only the
+other words are ordered.  The sets stay exact while completion goes on:
+``extend`` adds only leads of degree above every listed degree, which no
+listed word is long enough to contain.  Any other word is scanned for its
+leftmost lead: at most one lead starts at any position, so that is one
+dict lookup per distinct lead length.  Words of different degrees never
+meet and, within one degree, tuple order is deglex order, so a normal form
+rewrites the tuple-largest word left and adds each tail term with one call
+of the conductor's compiled ``fms``, fetched once per normal form.
 """
 
 from __future__ import annotations
@@ -90,11 +91,14 @@ class GBState:
     def _normal_form(self, f: FreeElement) -> FreeElement:
         """Normal form against the rules as they stand, for completion itself.
 
-        The rules are homogeneous, so words of different degrees never meet,
-        and within one degree tuple order is deglex order: each step rewrites
-        the largest word left, with its full coefficient, and every word it
-        produces is smaller, so no word is rewritten twice.  A word of a
-        listed degree is normal exactly when it is in that degree's set.
+        A word of a listed degree is normal exactly when it is in that
+        degree's set, so such a word goes straight to the result and only
+        the others are kept in the working set.  The rules are homogeneous,
+        so words of different degrees never meet, and within one degree
+        tuple order is deglex order: each step rewrites the largest word
+        left, with its full coefficient, and every word it produces is
+        smaller, so no word is rewritten twice and a word of an unlisted
+        degree that has no lead is final when it is reached.
         """
         ctx = self.pres.ctx
         n = ctx.conductor
@@ -102,14 +106,14 @@ class GBState:
         normal = self._normal
         listed = len(normal)
         fms = fms_kernel(n)  # every coefficient here has conductor n
-        work = {w: c.promote(n) for w, c in f.terms.items() if c}
         out: dict = {}
+        work: dict = {}
+        for w, c in f.terms.items():
+            if c:
+                (out if len(w) < listed and w in normal[len(w)] else work)[w] = c.promote(n)
         while work:
             word = max(work)
             coeff = work.pop(word)
-            if len(word) < listed and word in normal[len(word)]:
-                out[word] = coeff
-                continue
             occ = self._find_occurrence(word)
             if occ is None:
                 out[word] = coeff
@@ -117,13 +121,16 @@ class GBState:
             pos, lead = occ
             u, v = word[:pos], word[pos + len(lead) :]
             neg = -coeff
+            # a rule keeps the degree, so every new word lies in word's degree
+            final = normal[len(word)] if len(word) < listed else ()
             for tw, tc in rules[lead].terms.items():
                 nw = u + tw + v
-                s = fms(work.get(nw), neg, tc)
+                dest = out if nw in final else work
+                s = fms(dest.get(nw), neg, tc)
                 if s is None:
-                    work.pop(nw, None)
+                    dest.pop(nw, None)
                 else:
-                    work[nw] = s
+                    dest[nw] = s
         res = FreeElement(ctx)
         res.terms = out
         return res

@@ -8,6 +8,7 @@ import pytest
 from conftest import field_instances, field_w, parse_tuple
 from normext.certify import (
     BuildError,
+    EntryWalks,
     ExtensionSpec,
     ResolutionData,
     build_extension,
@@ -18,6 +19,7 @@ from normext.certify import (
     omega_certificate,
     predicted_dims,
     resolution_certificate,
+    resolution_maps,
     verify_hilbert,
 )
 from normext.dsl import parse_algebra, parse_poly, print_poly
@@ -300,6 +302,40 @@ def test_normal_forms_from_the_degree_below_equal_direct_ones(corpus_entries, en
                     mono = FreeElement.monomial(spec.ctx, u)
                     direct = D.normal_form(mono * e if left else e * mono)
                     assert nfs[u].terms == direct.terms, (label, engine, left, u)
+
+
+def exact_terms(terms):
+    return {w: (c.n, c.num, c.den) for w, c in terms.items()}
+
+
+@pytest.mark.parametrize("engine", ["la", "gb"])
+def test_shared_walks_give_each_entry_its_own_rows(corpus_entries, engine):
+    """Read in the certificate's order, the walk an entry of e43, M_l, M_r or
+    e10 shares with the entries equal to it up to a scalar gives, degree by
+    degree, the dicts of its own walk, to the degree the certificate at
+    2m+2 reads."""
+    for label, spec in corpus_specs(corpus_entries):
+        bound = 2 * spec.m + 2
+        D = GradedQuotient(spec.D, engine)
+        walks = EntryWalks(D)
+        readers = []
+        for entries, shifts in resolution_maps(spec, ResolutionData(spec)):
+            for row, a in zip(entries, shifts):
+                for ent in row:
+                    if not ent.is_zero():
+                        scale, shared = walks.reader(ent)
+                        readers.append((a, scale, shared, multiples_by_degree(D, ent, True)))
+        shared_walks = len(walks._walks)
+        assert shared_walks < len(readers), label
+        for deg in range(bound + 1):
+            for a, scale, shared, own in readers:
+                if deg < a:
+                    continue
+                got, want = next(shared), next(own)
+                assert list(got) == list(want), (label, deg)
+                for u, nf in want.items():
+                    scaled = {w: c if scale is None else scale(c) for w, c in got[u].terms.items()}
+                    assert exact_terms(scaled) == exact_terms(nf.terms), (label, engine, u)
 
 
 @pytest.mark.parametrize("label", ["sklyanin:k=2:p=(z^2,1,z)", "cubic_a:k=2:p=(-1,1)"])

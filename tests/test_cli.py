@@ -102,6 +102,40 @@ def test_verify_below_2m_minus_1_matches_la(monkeypatch, capsys):
     assert (code_gb, out_gb) == (code_la, out_la) and code_la == 0
 
 
+CUBIC_A = str(CORPUS / "cubic_a.alg")
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["verify", CUBIC_A, "--omit", "2", "--bound", "4"], "--p", "-1,1"),
+        (["build-extension", CUBIC_A, "--omit", "2"], "--p", "-1,1"),
+        (["zhang", CUBIC_A, "--omit", "2", "--p=-1,1"], "--sigma", "-2,2"),
+        (["family-probe", CUBIC_A, "--bound", "4"], "--points", "-1,1;1,1"),
+    ],
+    ids=["verify-p", "build-extension-p", "zhang-sigma", "family-probe-points"],
+)
+def test_option_values_may_begin_with_a_minus_sign(argv, option, value, capsys):
+    """"--p -1,1" prints what "--p=-1,1" prints; argparse alone refuses it."""
+    code, out = run_cli(capsys, *argv, option, value)
+    assert (code, out) == run_cli(capsys, *argv, f"{option}={value}")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", CUBIC_A, "--omit", "2", "--p", "--bound", "4"],
+        ["zhang", CUBIC_A, "--omit", "2", "--p=-1,1", "--sigma", "--omit", "2"],
+        ["family-probe", CUBIC_A, "--points", "-h"],
+    ],
+    ids=["p-then-bound", "sigma-then-omit", "points-then-help"],
+)
+def test_an_option_after_a_value_option_is_not_its_value(argv, capsys):
+    assert run(argv) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["alg_file", "p_option"])
 def test_zero_denominator_is_an_input_error(where, tmp_path, capsys):
     if where == "alg_file":

@@ -59,3 +59,65 @@ def test_solve_and_contains_agree_with_the_span(system):
         earlier.add(lead)
     assert red.contains(target)
     assert not red.contains({**target, FRESH: Scalar.one(n)})
+
+
+def reference_normal_form(pivots: dict, row: dict) -> dict:
+    """The reduction loop before irreducible keys bypassed the ordering: pop
+    the largest key, cancel it by its pivot row if it has one and keep it
+    otherwise, with two scalar ops per entry."""
+    work = dict(row)
+    out = {}
+    while work:
+        lead = max(work)
+        c = work.pop(lead)
+        piv = pivots.get(lead)
+        if piv is None:
+            out[lead] = c
+            continue
+        for k, v in piv.items():
+            if k == lead:
+                continue
+            s = work[k] - c * v if k in work else -(c * v)
+            if s.is_zero():
+                work.pop(k, None)
+            else:
+                work[k] = s
+    return out
+
+
+@st.composite
+def rows(draw, n, keys=range(12)):
+    """A sparse row over integer keys; if asked, its largest key carries 1."""
+    picked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6, unique=True))
+    row = {k: draw(scalars(n)) for k in picked}
+    if draw(st.booleans()):
+        row[max(picked)] = Scalar.one(n)
+    return {k: v for k, v in row.items() if not v.is_zero()}
+
+
+@st.composite
+def reducers(draw):
+    """(n, inserted rows, rows to reduce) over Q or Q(zeta_3)."""
+    n = draw(st.sampled_from([1, 3]))
+    inserted = draw(st.lists(rows(n), max_size=8))
+    return n, inserted, draw(st.lists(rows(n), min_size=1, max_size=4))
+
+
+def exact(row: dict) -> dict:
+    return {k: (c.n, c.num, c.den) for k, c in row.items()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(reducers())
+def test_normal_form_equals_the_reference_loop(case):
+    n, inserted, probes = case
+    red = RowReducer()
+    for row in inserted:
+        before = dict(red.pivots)
+        grew = red.insert(row)
+        assert exact(red.normal_form(row)) == {}
+        assert grew == bool(reference_normal_form(before, row))
+    for lead, row in red.pivots.items():
+        assert lead == max(row) and row[lead].is_one(), "stored pivot rows are monic"
+    for row in [*inserted, *probes]:
+        assert exact(red.normal_form(row)) == exact(reference_normal_form(red.pivots, row))

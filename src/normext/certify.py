@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import count
 from operator import neg
 
 from .dsl import print_poly, scalar_text
@@ -257,15 +258,9 @@ def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tup
     central = all(D.contains(xs[i] * omega - omega * xs[i]) for i in range(spec.n))
 
     def kernel_dims(left: bool) -> list[int]:
-        """dim ker of u -> u*Omega (left) or u -> Omega*u, degree by degree;
-        the images are rows over the positions of D's normal words."""
-        dims = []
-        walk = zip(range(bound - spec.m + 1), multiples_by_degree(D, omega, left))
-        for d, nfs in walk:
-            pos = {w: i for i, w in enumerate(D.normal_words(d + spec.m))}
-            rows = ({pos[w]: c for w, c in f.terms.items()} for f in nfs.values())
-            dims.append(len(nfs) - RowReducer(rows).rank)
-        return dims
+        """dim ker of u -> u*Omega (left) or u -> Omega*u, degree by degree."""
+        ranks = _graded_map_ranks(EntryWalks(D, left), [[omega]], [0])
+        return [dim - rank for _, (rank, dim) in zip(range(bound - spec.m + 1), ranks)]
 
     right_kernels = kernel_dims(left=True)
     left_kernels = kernel_dims(left=False)
@@ -318,26 +313,20 @@ class ResolutionData:
         f0 = spec.omega
         self.f = [spec.sp.f[perm[a]] for a in range(n)]
         self.g = list(spec.commutators)  # the degree-(m+1) relations, permuted order
-        # J_h: zero row on top of q_k * diag(p_i^{-1});  J_v: zero column then diag(p_i)
-        self.Jh = [[None] * (n - 1) for _ in range(n)]
-        for a in range(1, n):
-            self.Jh[a][a - 1] = q0 * pperm[a].inv()
-        self.Jv = [[None] * n for _ in range(n - 1)]
-        for a in range(1, n):
-            self.Jv[a - 1][a] = pperm[a]
-
         zero_el = FreeElement.zero(ctx)
-        # M_l = [ -M[:,0] x_{>=1}^t + f0 Jh  |  M[:, >=1] ]
+        # M_l = [ -M[:,0] x_{>=1}^t + f0 J_h  |  M[:, >=1] ], where J_h is a
+        # zero row on top of q_k * diag(p_i^{-1})
         self.Ml = [[zero_el for _ in range(2 * (n - 1))] for _ in range(n)]
         for a in range(n):
             for b in range(1, n):
                 ent = -(self.M[a][0] * xs[b])
-                if self.Jh[a][b - 1] is not None:
-                    ent = ent + f0.scale(self.Jh[a][b - 1])
+                if a == b:
+                    ent = ent + f0.scale(q0 * pperm[a].inv())
                 self.Ml[a][b - 1] = ent
             for b in range(1, n):
                 self.Ml[a][(n - 1) + (b - 1)] = self.M[a][b]
-        # M_r = [ M[>=1, :]  over  x_{>=1} M[0,:] - f0 Jv ]
+        # M_r = [ M[>=1, :]  over  x_{>=1} M[0,:] - f0 J_v ], where J_v is a
+        # zero column then diag(p_i)
         self.Mr = [[zero_el for _ in range(n)] for _ in range(2 * (n - 1))]
         for a in range(1, n):
             for b in range(n):
@@ -345,8 +334,8 @@ class ResolutionData:
         for a in range(1, n):
             for b in range(n):
                 ent = xs[a] * self.M[0][b]
-                if self.Jv[a - 1][b] is not None:
-                    ent = ent - f0.scale(self.Jv[a - 1][b])
+                if a == b:
+                    ent = ent - f0.scale(pperm[a])
                 self.Mr[(n - 1) + (a - 1)][b] = ent
 
         self.gl = [self.g[b - 1].scale(q0 * pperm[b].inv()) for b in range(1, n)] + [
@@ -398,29 +387,40 @@ def resolution_maps(spec: ExtensionSpec, res: ResolutionData) -> list:
 
 
 class EntryWalks:
-    """Left ``multiples_by_degree`` walks, one per map entry up to a nonzero
-    scalar: an entry c*e', with e' monic at its deglex lead, reads e''s
-    walk, since NF(u*c*e') = c*NF(u*e').  The resolution's maps share the
-    letters (e43 and e10), each M[a][b] (M_l and M_r) and multiples of
-    letters, each map at its own fixed lag, so a walk's degree is made on
-    its first read and dropped after its last.  These are the walks the
-    entries would make on their own, each made once, and every step is
-    still a ``quot.normal_form`` call."""
+    """``multiples_by_degree`` walks on one side, one per map entry up to a
+    nonzero scalar: an entry c*e', with e' monic at its deglex lead, reads
+    e''s walk, since NF(u*c*e') = c*NF(u*e') (and on the right,
+    NF(c*e'*u) = c*NF(e'*u)).  The resolution's maps share the letters (e43
+    and e10), each M[a][b] (M_l and M_r) and multiples of letters, each map
+    at its own fixed lag, so a walk's degree is made on its first read and
+    dropped after its last.  These are the walks the entries would make on
+    their own, each made once, and every step is still a
+    ``quot.normal_form`` call.  The store also numbers the normal words of
+    each degree once for every map it serves."""
 
-    def __init__(self, quot: GradedQuotient) -> None:
+    def __init__(self, quot: GradedQuotient, left: bool = True) -> None:
         self.quot = quot
+        self.left = left
         self._walks: list = []  # [e', its walk, readers, {degree: [nfs, reads left]}]
+        self._positions: dict[int, dict] = {}  # degree -> {normal word: its position}
+
+    def positions(self, d: int) -> dict:
+        """{u: i} for the i-th normal word u of degree d."""
+        if d not in self._positions:
+            self._positions[d] = {w: i for i, w in enumerate(self.quot.normal_words(d))}
+        return self._positions[d]
 
     def reader(self, ent: FreeElement):
         """(scale, degrees) for the nonzero entry c*e': degrees yields
-        {u: NF(u*e')} for d = 0, 1, 2, ..., and scale maps its coefficients
-        to the entry's (None for c = 1, a negation for c = -1).  A walk's
-        readers must all be made before it is read."""
+        {u: NF(u*e')} (or {u: NF(e'*u)} on the right) for d = 0, 1, 2, ...,
+        and scale maps its coefficients to the entry's (None for c = 1, a
+        negation for c = -1).  A walk's readers must all be made before it
+        is read."""
         c = ent.terms[max(ent.terms)]  # one degree: tuple order is deglex
         monic = ent if c.is_one() else ent.scale(c.inv())
         walk = next((w for w in self._walks if w[0] == monic), None)
         if walk is None:
-            walk = [monic, multiples_by_degree(self.quot, monic, True), 0, {}]
+            walk = [monic, multiples_by_degree(self.quot, monic, self.left), 0, {}]
             self._walks.append(walk)
         walk[2] += 1
         scale = None if c.is_one() else neg if (-c).is_one() else c.__mul__
@@ -441,55 +441,48 @@ class EntryWalks:
             d += 1
 
 
-def _graded_map_rows(walks: EntryWalks, entries, shifts_src):
-    """Yield (rows, source dimension) of the degree-deg block of the map
-    that right-multiplies a row vector by the matrix ``entries``, for
-    deg = 0, 1, 2, ...  Each nonzero entry reads its walk from ``walks``
-    once per degree, from the degree its source shift reaches 0; its
-    readers are made here, before the first row is asked for.
+def _graded_map_ranks(walks: EntryWalks, entries, shifts_src):
+    """Yield (rank, source dimension) of the degree-deg block of the map
+    u*e_s -> sum_t u*entries[s][t]*e_t (entries[s][t]*u when ``walks`` is a
+    right-side store), for deg = 0, 1, 2, ...  Each nonzero entry reads
+    its walk from ``walks`` once per degree, from the degree its source
+    shift reaches 0; its readers are made here, before the first rank is
+    asked for.
 
-    The columns are numbered i * width + t for the i-th normal word of
-    target block t, where width is the number of target blocks: every word
-    of one block has one degree, so the numbering is one to one, and only
-    the rank is read off the rows."""
-    quot = walks.quot
+    The image of u*e_s is a row over the columns i * width + t for the i-th
+    normal word of target block t, where width is the number of target
+    blocks: every word of one block has one degree, so the numbering is one
+    to one.  Each row goes into the degree's ``RowReducer`` as it is made.
+    Scaling a row does not change the rank, so a source row with one
+    nonzero entry skips that entry's scale."""
     width = len(entries[0])
-    readers = [
-        [(t, ent.degree, *walks.reader(ent)) for t, ent in enumerate(row) if not ent.is_zero()]
-        for row in entries
-    ]
-    index: dict[int, dict] = {}  # degree -> {normal word: its position}
+    readers = []
+    for row in entries:
+        own = [(t, ent.degree, *walks.reader(ent)) for t, ent in enumerate(row) if not ent.is_zero()]
+        readers.append(own if len(own) > 1 else [(t, e, None, degrees) for t, e, _, degrees in own])
 
-    def positions(d: int) -> dict:
-        if d not in index:
-            index[d] = {w: i for i, w in enumerate(quot.normal_words(d))}
-        return index[d]
+    def block(deg: int) -> tuple[int, int]:
+        red = RowReducer()
+        src_dim = 0
+        for s, a_s in enumerate(shifts_src):
+            if deg < a_s:
+                continue
+            images = [
+                (t, walks.positions(deg - a_s + e), scale, next(degrees))
+                for t, e, scale, degrees in readers[s]
+            ]
+            words = walks.quot.normal_words(deg - a_s)
+            src_dim += len(words)
+            for u in words:
+                row: dict = {}
+                for t, pos, scale, nfs in images:
+                    for wd, c in nfs[u].terms.items():
+                        row[pos[wd] * width + t] = c if scale is None else scale(c)
+                if row:
+                    red.insert(row)
+        return red.rank, src_dim
 
-    def blocks():
-        deg = 0
-        while True:
-            rows = []
-            src_dim = 0
-            for s, a_s in enumerate(shifts_src):
-                if deg < a_s:
-                    continue
-                images = [
-                    (t, positions(deg - a_s + e), scale, next(walk))
-                    for t, e, scale, walk in readers[s]
-                ]
-                words = quot.normal_words(deg - a_s)
-                src_dim += len(words)
-                for u in words:
-                    row: dict = {}
-                    for t, pos, scale, nfs in images:
-                        for wd, c in nfs[u].terms.items():
-                            row[pos[wd] * width + t] = c if scale is None else scale(c)
-                    if row:
-                        rows.append(row)
-            yield rows, src_dim
-            deg += 1
-
-    return blocks()
+    return map(block, count())
 
 
 def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tuple[dict, list]:
@@ -525,13 +518,12 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
 
     # (c) degree-wise rank exactness of the candidate complex
     walks = EntryWalks(D)
-    maps = [_graded_map_rows(walks, entries, shifts) for entries, shifts in resolution_maps(spec, res)]
+    maps = [_graded_map_ranks(walks, entries, shifts) for entries, shifts in resolution_maps(spec, res)]
     exact_ok = True
     exact_witness = None
     rank_rows = []
     for deg in range(bound + 1):
-        (rows4, dim4), (rows3, dim3), (rows2, dim2), (rows1, dim1) = (next(m) for m in maps)
-        r4, r3, r2, r1 = (RowReducer(r).rank for r in (rows4, rows3, rows2, rows1))
+        (r4, dim4), (r3, dim3), (r2, dim2), (r1, dim1) = (next(m) for m in maps)
         conds = {
             "P4_injective": r4 == dim4,
             "P3_exact": r4 + r3 == dim3,

@@ -10,10 +10,10 @@ always uses the largest key of a row, so reduction order is deterministic.
 ``contains`` and ``solve`` all call it.  Keys without a pivot are final
 and bypass the ordering; only keys with a pivot are cancelled, largest
 first.  A row stored by ``insert`` is therefore fully reduced against the
-pivots stored before it, and monic at its largest key (it is rescaled only
-when its lead coefficient is not already one).  The pivot set, the rank
-and every normal form depend only on the span and the key order, not on
-which basis of the span is stored.
+pivots stored before it, monic at its largest key (it is rescaled only
+when its lead coefficient is not already one), and lists that key first.
+The pivot set, the rank and every normal form depend only on the span and
+the key order, not on which basis of the span is stored.
 """
 
 from __future__ import annotations
@@ -73,27 +73,26 @@ class RowReducer:
         return out
 
     def insert(self, row: dict) -> bool:
-        """Store the normal form of row, made monic at its largest key; True
-        if the row enlarged the span.  A row whose lead is already one is
-        stored as it is."""
+        """Store the normal form of row, made monic at its largest key and
+        listed from that key; True if the row enlarged the span.  A row whose
+        lead is already one is not rescaled."""
         row = self.normal_form(row)
         if not row:
             return False
         lead = max(row)
+        row = {lead: row.pop(lead), **row}
         c = row[lead]
         if not c.is_one():
             inv = c.inv()
             row = {k: v * inv for k, v in row.items()}
-        self._store(lead, row)
+        self.store(lead, row)
         return True
 
-    def insert_pivot_row(self, row: dict) -> None:
-        """Insert a row already known to have a fresh leading key (monic)."""
-        lead = max(row)
-        assert lead not in self.pivots
-        self._store(lead, row)
-
-    def _store(self, lead, row: dict) -> None:
+    def store(self, lead, row: dict) -> None:
+        """Store a monic row whose largest key lead has no pivot yet and is
+        the row's first key.  The pivot dict then shares the row's own key
+        object, and a copy of the row with shifted keys finds its lead
+        without a search."""
         self.pivots[lead] = row
         self._entries += len(row)
         if self.entry_limit is not None and self._entries > self.entry_limit:

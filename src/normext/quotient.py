@@ -11,10 +11,11 @@ normal forms:
   pre-echelonized (prefixing a fixed letter preserves deglex among
   same-degree words), so only the relation-tail rows need reduction, and
   there are |R| * dim A_k of them instead of |R| * n^k.  Normal words are
-  the standard words, and a normal form is a full reduction against the
-  echelon basis.  Rows are keyed by ``word_code``, the bijective base-n
-  numeral of a word: integer keys sort in deglex order, and prefixing a
-  letter or appending a word is integer arithmetic on the key.
+  the standard words, listed once per level from the level below, and a
+  normal form is a full reduction against the echelon basis.  Rows are
+  keyed by ``word_code``, the bijective base-n numeral of a word: integer
+  keys sort in deglex order, and prefixing a letter or appending a word is
+  integer arithmetic on the key.
 * ``GBState`` (rewriting module) -- truncated noncommutative Buchberger
   completion; normal words avoid every rule lead.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .freealg import CoefficientModeError, Context, FreeElement, word_key
+from .freealg import AlgebraError, CoefficientModeError, Context, FreeElement, word_key
 from .linalg import RowReducer
 from .dsl import print_poly
 from .rewriting import GBState
@@ -57,10 +58,12 @@ class Presentation:
 
     Relations are normalized monic at their deglex-leading word, sorted,
     and deduplicated; zero elements are dropped so constructions that
-    naturally produce them (coordinate fibers) need no special casing.
+    naturally produce them (coordinate fibers) need no special casing.  A
+    nonzero relation of degree 0 would make the quotient zero in every
+    degree and is refused.
     """
 
-    __slots__ = ("ctx", "relations", "label", "_key")
+    __slots__ = ("ctx", "relations", "texts", "label", "_key")
 
     def __init__(self, ctx: Context, relations, label: str = "") -> None:
         self.ctx = ctx
@@ -70,19 +73,17 @@ class Presentation:
                 raise CoefficientModeError("relation from a different context")
             if r.is_zero():
                 continue
-            r.require_homogeneous("presentation relation")
+            if r.require_homogeneous("presentation relation") == 0:
+                raise AlgebraError("a relation of degree 0 makes the quotient zero")
             lead = max(r.terms, key=word_key)
             if ctx.mode == "field":
                 r = r.scale(r.terms[lead].inv())
-            rels.append(r)
-        seen = set()
-        uniq = []
-        for r in sorted(rels, key=lambda f: (f.degree, word_key(max(f.terms, key=word_key)), print_poly(f))):
-            text = print_poly(r)
-            if text not in seen:
-                seen.add(text)
-                uniq.append(r)
-        self.relations = tuple(uniq)
+            rels.append((r.degree, word_key(lead), print_poly(r), r))
+        uniq = {}
+        for *_, text, r in sorted(rels, key=lambda t: t[:3]):
+            uniq.setdefault(text, r)
+        self.texts = tuple(uniq)
+        self.relations = tuple(uniq.values())
         self.label = label
         self._key = None
 
@@ -93,7 +94,7 @@ class Presentation:
                     "gens": self.ctx.gens,
                     "N": self.ctx.conductor,
                     "mode": self.ctx.mode,
-                    "rels": [print_poly(r) for r in self.relations],
+                    "rels": self.texts,
                 },
                 sort_keys=True,
             )
@@ -106,8 +107,7 @@ class Presentation:
             )
 
     def text(self) -> str:
-        rels = " ; ".join(print_poly(r) for r in self.relations)
-        return f"<{', '.join(self.ctx.gens)} | {rels}>"
+        return f"<{', '.join(self.ctx.gens)} | {' ; '.join(self.texts)}>"
 
     def __repr__(self) -> str:
         return f"Presentation({self.label or self.text()})"
@@ -158,8 +158,11 @@ class LinearEngine:
     def __init__(self, pres: Presentation, entry_limit: int | None = 40_000_000) -> None:
         pres.require_field()
         self.pres = pres
-        self.levels: list[RowReducer] = []
         self.entry_limit = entry_limit
+        # no relation has degree 0, so level 0 is empty and the empty word,
+        # code 0, is standard
+        self.levels: list[RowReducer] = [RowReducer(entry_limit=entry_limit)]
+        self.standard: list[list[int]] = [[0]]  # codes of each level's standard words, ascending
 
     def _relation_rows(self, d: int):
         """Rows r * v for each relation r and standard word v of degree
@@ -176,36 +179,37 @@ class LinearEngine:
             k = d - r.degree
             if k < 0:
                 continue
-            # k == d only for a degree-0 relation, whose level is being built
-            nonstandard = self.levels[k].pivots if k < d else {}
             terms = sorted(r.terms.items(), key=lambda t: word_key(t[0]))
-            scaled = [(word_code(u, n) * n**k, c) for u, c in terms]
-            # the words v of degree k have consecutive codes, and
             # code(u.v) = code(u) * n^k + code(v)
-            first = word_code((0,) * k, n)
-            for v in range(first, first + n**k):
-                if v not in nonstandard:
-                    yield {code + v: c for code, c in scaled}
+            scaled = [(word_code(u, n) * n**k, c) for u, c in terms]
+            for v in self.standard[k]:
+                yield {code + v: c for code, c in scaled}
 
     def extend(self, bound: int) -> None:
+        """Build levels through bound.  Level d also lists its standard
+        words, from the candidates x_a appended to a standard word of degree
+        d-1: if u leads an element g of I_{d-1}, then u*x_a leads g*x_a in
+        I_d, so a prefix of a standard word is standard."""
         n = self.pres.ctx.n
         while len(self.levels) <= bound:
             d = len(self.levels)
+            prev = self.levels[-1]
             red = RowReducer(entry_limit=self.entry_limit)
-            if d > 0 and self.levels[d - 1].pivots:
-                prev = self.levels[d - 1]
-                for i in range(n):
-                    shift = (i + 1) * n ** (d - 1)  # code(x_i.w) - code(w)
-                    for lead in sorted(prev.pivots):
-                        row = prev.pivots[lead]
-                        red.insert_pivot_row({c + shift: v for c, v in row.items()})
+            for i in range(n):
+                shift = (i + 1) * n ** (d - 1)  # code(x_i.w) - code(w)
+                for lead in sorted(prev.pivots):
+                    # a stored row lists its lead first, and so does the copy
+                    row = {c + shift: v for c, v in prev.pivots[lead].items()}
+                    red.store(next(iter(row)), row)
             for row in self._relation_rows(d):
                 red.insert(row)
+            words = [c * n + a for c in self.standard[-1] for a in range(1, n + 1)]
             self.levels.append(red)
+            self.standard.append([c for c in words if c not in red.pivots])
 
     def dims(self, bound: int) -> list[int]:
         self.extend(bound)
-        return [self.pres.ctx.n**d - self.levels[d].rank for d in range(bound + 1)]
+        return [len(words) for words in self.standard[: bound + 1]]
 
     def _level(self, d: int) -> RowReducer:
         if d >= len(self.levels):
@@ -219,10 +223,8 @@ class LinearEngine:
 
     def normal_words(self, d: int) -> list[tuple]:
         """Standard words of degree d (the non-pivots), in deglex order."""
-        pivots = self._level(d).pivots
-        n = self.pres.ctx.n
-        start = word_code((0,) * d, n)
-        return [code_word(c, n) for c in range(start, start + n**d) if c not in pivots]
+        self._level(d)
+        return [code_word(c, self.pres.ctx.n) for c in self.standard[d]]
 
     def normal_form(self, f: FreeElement) -> FreeElement:
         """f fully reduced against the echelon basis of its degree."""

@@ -569,10 +569,6 @@ class UnitScalar:
     def __hash__(self) -> int:
         return hash((self.tor, self.exps))
 
-    def extend(self, extra: int) -> "UnitScalar":
-        """Append `extra` zero exponent slots (new formal symbols)."""
-        return UnitScalar(self.tor, self.exps + (Fraction(0),) * extra)
-
     def text(self, params=(), conductor: int | None = None) -> str:
         """``-1``, ``e(1/8)*a^{-1/2}``, ...: the sign, the root of unity (see
         ``root_text``; ``z^k`` only when given the conductor) and params^exps."""

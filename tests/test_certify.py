@@ -313,23 +313,27 @@ def test_shared_walks_give_each_entry_its_own_rows(corpus_entries, engine):
     """Read in the certificate's order, the walk an entry of e43, M_l, M_r or
     e10 shares with the entries equal to it up to a scalar gives, degree by
     degree, the dicts of its own walk, to the degree the certificate at
-    2m+2 reads."""
+    2m+2 reads; and so does a right-side walk of Omega."""
     for label, spec in corpus_specs(corpus_entries):
         bound = 2 * spec.m + 2
         D = GradedQuotient(spec.D, engine)
         walks = EntryWalks(D)
-        readers = []
+        readers = []  # (first degree, last degree, scale, shared walk, own walk)
         for entries, shifts in resolution_maps(spec, ResolutionData(spec)):
             for row, a in zip(entries, shifts):
                 for ent in row:
                     if not ent.is_zero():
-                        scale, shared = walks.reader(ent)
-                        readers.append((a, scale, shared, multiples_by_degree(D, ent, True)))
-        shared_walks = len(walks._walks)
-        assert shared_walks < len(readers), label
+                        readers.append((a, bound, *walks.reader(ent), multiples_by_degree(D, ent, True)))
+        assert len(walks._walks) < len(readers), label
+        # a right-side store on Omega, read as far as omega_certificate reads
+        # it: Omega and -Omega share one walk of NF(Omega*u)
+        right = EntryWalks(D, left=False)
+        for ent in (spec.omega, -spec.omega):
+            readers.append((0, bound - spec.m, *right.reader(ent), multiples_by_degree(D, ent, False)))
+        assert len(right._walks) == 1, label
         for deg in range(bound + 1):
-            for a, scale, shared, own in readers:
-                if deg < a:
+            for first, last, scale, shared, own in readers:
+                if not first <= deg <= last:
                     continue
                 got, want = next(shared), next(own)
                 assert list(got) == list(want), (label, deg)

@@ -276,6 +276,34 @@ def test_reports_are_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+W_POLY_RELS = """algebra w_poly
+field cyclotomic 12
+gens x, y, z
+rels = y*z - z*y ; -x*z + z*x ; x*y - y*x ;
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--omit", "1", "--p", "1,1,1"],
+        ["verify", "--omit", "2", "--p=-1,1,-1"],
+        ["hilbert"],
+        ["check-superpotential"],
+    ],
+    ids=["verify-1", "verify-2", "hilbert", "check-superpotential"],
+)
+def test_a_rels_file_reports_as_its_superpotential(argv, tmp_path, capsys):
+    """w_poly written as its three derivatives ("rels = ...") prints, byte
+    for byte, what w_poly.alg prints: the superpotential is recovered from
+    the relations."""
+    path = tmp_path / "w_poly.alg"
+    path.write_text(W_POLY_RELS, encoding="utf-8")
+    code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == run_cli(capsys, argv[0], W_POLY, *argv[1:])
+    assert code == 0 and out
+
+
 def test_console_entry_point():
     src = str(Path(normext.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

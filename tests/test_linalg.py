@@ -119,5 +119,6 @@ def test_normal_form_equals_the_reference_loop(case):
         assert grew == bool(reference_normal_form(before, row))
     for lead, row in red.pivots.items():
         assert lead == max(row) and row[lead].is_one(), "stored pivot rows are monic"
+        assert next(iter(row)) is lead, "a stored row lists its lead first, as the pivot key"
     for row in [*inserted, *probes]:
         assert exact(red.normal_form(row)) == exact(reference_normal_form(red.pivots, row))

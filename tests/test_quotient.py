@@ -11,7 +11,7 @@ from normext import quotient
 from normext.certify import build_extension, full_certificate
 from normext.cli import default_corpus_path
 from normext.dsl import parse_algebra, parse_poly
-from normext.freealg import CoefficientModeError, Context, FreeElement, word_key
+from normext.freealg import AlgebraError, CoefficientModeError, Context, FreeElement, word_key
 from normext.linalg import ResourceLimitError
 from normext.quotient import (
     EngineDisagreementError,
@@ -67,6 +67,17 @@ def test_free_algebra_has_zero_ideal():
     for d in range(4):
         assert ideal_basis(free, d) == []
     assert hilbert_table(free, 3, "both").dims == (1, 2, 4, 8)
+
+
+@pytest.mark.parametrize("rels", [["1"], ["x*y - y*x", "-3/2"]], ids=["one", "among-others"])
+def test_a_degree_zero_relation_is_refused(rels):
+    """A nonzero constant in the ideal makes the quotient zero in every
+    degree, which the rewriting engine, matching only nonempty rule leads,
+    would not see; such a presentation is refused rather than answered
+    differently by the two engines."""
+    ctx = Context(("x", "y"), 1)
+    with pytest.raises(AlgebraError, match="degree 0"):
+        Presentation(ctx, [parse_poly(r, ctx) for r in rels])
 
 
 def test_hilbert_polynomial_ring_binomial_oracle():
@@ -134,6 +145,14 @@ def test_resource_limit_is_loud():
     eng = LinearEngine(d_poly_extension(), entry_limit=5)
     with pytest.raises(ResourceLimitError):
         eng.dims(6)
+    # the limit counts every entry a level stores, rows copied from the
+    # level below included
+    full = LinearEngine(d_poly_extension(), entry_limit=None)
+    full.extend(6)
+    most = max(sum(map(len, level.pivots.values())) for level in full.levels)
+    LinearEngine(d_poly_extension(), entry_limit=most).extend(6)
+    with pytest.raises(ResourceLimitError):
+        LinearEngine(d_poly_extension(), entry_limit=most - 1).extend(6)
 
 
 def test_normal_words_above_the_completed_degree_extend_it():
@@ -248,6 +267,12 @@ def test_standard_word_pruning_keeps_every_level(corpus_entries):
             assert got.rank == want.rank, (pres.label, d)
             assert set(got.pivots) == set(want.pivots), (pres.label, d)
             assert got.pivots == want.pivots, (pres.label, d)
+            # the standard words listed from the degree below are the
+            # non-pivots among all n^d words
+            n = pres.ctx.n
+            first = word_code((0,) * d, n)
+            scan = [code_word(c, n) for c in range(first, first + n**d) if c not in want.pivots]
+            assert pruned.normal_words(d) == scan, (pres.label, d)
 
 
 def test_engines_agree_on_normal_words_and_forms(completed):

@@ -10,8 +10,9 @@ desk-checkable to a degree bound:
   annihilator z_k diagnostics,
 * normality/centrality memberships for the distinguished element and the
   vanishing of both multiplication kernels,
-* the candidate resolution: block matrices, complex property, Euler
-  residuals, and degree-wise rank exactness,
+* the candidate resolution: the identities x^t M_l = g_l^t and M_r x = g_r,
+  the complex property M_l M_r = 0 in D (each product a ``freealg.matmul``),
+  Euler residuals, and degree-wise rank exactness,
 * the diagonal Nakayama map x_i -> (p_i q_i)^{-1} x_i and the homological
   determinant factorization, which must multiply to 1.
 
@@ -27,7 +28,7 @@ from itertools import count
 from operator import neg
 
 from .dsl import print_poly, scalar_text
-from .freealg import AlgebraError, FreeElement
+from .freealg import AlgebraError, FreeElement, matmul
 from .linalg import RowReducer, same_span
 from .quotient import GradedQuotient, Presentation
 from .superpotential import (
@@ -290,99 +291,49 @@ def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tup
 # -- candidate resolution -------------------------------------------------------
 
 
-class ResolutionData:
-    """Block matrices of the length-four candidate resolution.
+def resolution_maps(spec: ExtensionSpec) -> tuple[tuple, list]:
+    """The permutation of the generators (omitted index first, the rest
+    ascending), and the (entries, source shifts) of the four maps
+    P4 -> P3 -> P2 -> P1 -> P0 of the candidate resolution in that order:
+    the letters as a row, M_l, M_r and the letters as a column.
 
-    Everything is expressed in the permuted generator order (omitted index
-    first, the rest ascending); ``perm`` records the reindexing.
-    """
+    Raises ResolutionDefect unless x^t M_l = g_l^t and M_r x = g_r, where
+    g_l and g_r list D's relations scaled as the paper's identities need."""
+    ctx, n, m, k = spec.ctx, spec.n, spec.m, spec.k
+    perm = (k, *(i for i in range(n) if i != k))
+    mfull = coefficient_matrix(spec.sp.w)
+    M = [[mfull[a][b] for b in perm] for a in perm]
+    xs = [FreeElement.gen(ctx, a) for a in perm]
+    xcol = [[x] for x in xs]
+    q = [spec.sp.twist.scales[a] for a in perm]
+    p = [spec.p[a] for a in perm]
+    f = [spec.sp.f[a] for a in perm]
+    g = spec.commutators  # the degree-(m+1) relations, permuted order
+    zero = FreeElement.zero(ctx)
 
-    def __init__(self, spec: ExtensionSpec) -> None:
-        ctx = spec.ctx
-        n = spec.n
-        k = spec.k
-        perm = (k, *(i for i in range(n) if i != k))
-        self.perm = perm
-        self.spec = spec
-        mfull = coefficient_matrix(spec.sp.w)
-        self.M = [[mfull[perm[a]][perm[b]] for b in range(n)] for a in range(n)]
-        xs = [FreeElement.gen(ctx, perm[a]) for a in range(n)]
-        self.xs = xs
-        q0 = spec.sp.twist.scales[k]
-        pperm = [spec.p[perm[a]] for a in range(n)]
-        f0 = spec.omega
-        self.f = [spec.sp.f[perm[a]] for a in range(n)]
-        self.g = list(spec.commutators)  # the degree-(m+1) relations, permuted order
-        zero_el = FreeElement.zero(ctx)
-        # M_l = [ -M[:,0] x_{>=1}^t + f0 J_h  |  M[:, >=1] ], where J_h is a
-        # zero row on top of q_k * diag(p_i^{-1})
-        self.Ml = [[zero_el for _ in range(2 * (n - 1))] for _ in range(n)]
-        for a in range(n):
-            for b in range(1, n):
-                ent = -(self.M[a][0] * xs[b])
-                if a == b:
-                    ent = ent + f0.scale(q0 * pperm[a].inv())
-                self.Ml[a][b - 1] = ent
-            for b in range(1, n):
-                self.Ml[a][(n - 1) + (b - 1)] = self.M[a][b]
-        # M_r = [ M[>=1, :]  over  x_{>=1} M[0,:] - f0 J_v ], where J_v is a
-        # zero column then diag(p_i)
-        self.Mr = [[zero_el for _ in range(n)] for _ in range(2 * (n - 1))]
-        for a in range(1, n):
-            for b in range(n):
-                self.Mr[a - 1][b] = self.M[a][b]
-        for a in range(1, n):
-            for b in range(n):
-                ent = xs[a] * self.M[0][b]
-                if a == b:
-                    ent = ent - f0.scale(pperm[a])
-                self.Mr[(n - 1) + (a - 1)][b] = ent
+    def diagonal(a: int, b: int, c) -> FreeElement:
+        return spec.omega.scale(c) if a == b else zero
 
-        self.gl = [self.g[b - 1].scale(q0 * pperm[b].inv()) for b in range(1, n)] + [
-            self.f[b].scale(spec.sp.twist.scales[perm[b]]) for b in range(1, n)
-        ]
-        self.gr = [self.f[b] for b in range(1, n)] + list(self.g)
-        self._verify_identities()
-
-    def _verify_identities(self) -> None:
-        n = self.spec.n
-        ctx = self.spec.ctx
-        for t in range(2 * (n - 1)):
-            acc = FreeElement.zero(ctx)
-            for a in range(n):
-                acc = acc + self.xs[a] * self.Ml[a][t]
-            if acc != self.gl[t]:
-                raise ResolutionDefect("x^t M_l = g_l^t fails")
-        for srow in range(2 * (n - 1)):
-            acc = FreeElement.zero(ctx)
-            for b in range(n):
-                acc = acc + self.Mr[srow][b] * self.xs[b]
-            if acc != self.gr[srow]:
-                raise ResolutionDefect("M_r x = g_r fails")
-
-    def product_entries(self) -> list[tuple[int, int, FreeElement]]:
-        """Entries of M_l * M_r, each of degree 2m - 1."""
-        n = self.spec.n
-        ctx = self.spec.ctx
-        out = []
-        for a in range(n):
-            for b in range(n):
-                acc = FreeElement.zero(ctx)
-                for t in range(2 * (n - 1)):
-                    acc = acc + self.Ml[a][t] * self.Mr[t][b]
-                out.append((a, b, acc))
-        return out
-
-
-def resolution_maps(spec: ExtensionSpec, res: ResolutionData) -> list:
-    """(entries, source shifts) of the four maps P4 -> P3 -> P2 -> P1 -> P0
-    of the candidate resolution, in the permuted generator order."""
-    ctx, n, m = spec.ctx, spec.n, spec.m
-    return [
-        ([[FreeElement.gen(ctx, res.perm[t]) for t in range(n)]], [2 * m + 1]),
-        (res.Ml, [2 * m] * n),
-        (res.Mr, [m] * (n - 1) + [m + 1] * (n - 1)),
-        ([[FreeElement.gen(ctx, res.perm[s])] for s in range(n)], [1] * n),
+    # M_l = [ -M[:,0] x_{>=1}^t + Omega J_h  |  M[:, >=1] ], where J_h is a
+    # zero row on top of q_k * diag(p_i^{-1})
+    Ml = [
+        [-(M[a][0] * xs[b]) + diagonal(a, b, q[0] * p[a].inv()) for b in range(1, n)] + M[a][1:]
+        for a in range(n)
+    ]
+    # M_r = [ M[>=1, :]  over  x_{>=1} M[0,:] - Omega J_v ], where J_v is a
+    # zero column then diag(p_i)
+    Mr = M[1:] + [[xs[a] * M[0][b] - diagonal(a, b, p[a]) for b in range(n)] for a in range(1, n)]
+    gl = [g[b - 1].scale(q[0] * p[b].inv()) for b in range(1, n)] + [f[b].scale(q[b]) for b in range(1, n)]
+    gr = f[1:] + g
+    if matmul([xs], Ml) != [gl]:
+        raise ResolutionDefect("x^t M_l = g_l^t fails")
+    if matmul(Mr, xcol) != [[e] for e in gr]:
+        raise ResolutionDefect("M_r x = g_r fails")
+    return perm, [
+        ([xs], [2 * m + 1]),
+        (Ml, [2 * m] * n),
+        (Mr, [m] * (n - 1) + [m + 1] * (n - 1)),
+        (xcol, [1] * n),
     ]
 
 
@@ -488,13 +439,16 @@ def _graded_map_ranks(walks: EntryWalks, entries, shifts_src):
 def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tuple[dict, list]:
     n = spec.n
     m = spec.m
-    res = ResolutionData(spec)  # raises ResolutionDefect unless the identities hold
+    perm, maps = resolution_maps(spec)  # raises ResolutionDefect unless the identities hold
 
     # (a) complex property: every entry of M_l M_r lies in the ideal
-    bad_entries = []
-    for a, b, ent in res.product_entries():
-        if not D.contains(ent):
-            bad_entries.append([res.perm[a] + 1, res.perm[b] + 1])
+    _, (Ml, _), (Mr, _), _ = maps
+    bad_entries = [
+        [perm[a] + 1, perm[b] + 1]
+        for a, row in enumerate(matmul(Ml, Mr))
+        for b, ent in enumerate(row)
+        if not D.contains(ent)
+    ]
     complex_ok = not bad_entries
 
     # (b) Euler residuals from the graded dimensions
@@ -518,12 +472,12 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
 
     # (c) degree-wise rank exactness of the candidate complex
     walks = EntryWalks(D)
-    maps = [_graded_map_ranks(walks, entries, shifts) for entries, shifts in resolution_maps(spec, res)]
+    ranks = [_graded_map_ranks(walks, entries, shifts) for entries, shifts in maps]
     exact_ok = True
     exact_witness = None
     rank_rows = []
     for deg in range(bound + 1):
-        (r4, dim4), (r3, dim3), (r2, dim2), (r1, dim1) = (next(m) for m in maps)
+        (r4, dim4), (r3, dim3), (r2, dim2), (r1, dim1) = map(next, ranks)
         conds = {
             "P4_injective": r4 == dim4,
             "P3_exact": r4 + r3 == dim3,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .certify import ExtensionSpec, build_extension
 from .dsl import print_poly, scalar_text
-from .freealg import AlgebraError, FreeElement
+from .freealg import AlgebraError, FreeElement, gens, matmul
 from .linalg import RowReducer, same_span, solve
 from .quotient import Presentation, hilbert_table, membership
 from .scalars import Scalar
@@ -252,22 +252,16 @@ def adapt_basis(w: FreeElement, f_list) -> BasisChange:
     inv_cols = [solve(rows, {a: one}) for a in range(n)]
     if any(col is None for col in inv_cols):
         raise FamilyError("relation list is linearly dependent (singular P)")
-    new_gens = []
-    for a in range(n):
-        g = FreeElement.zero(ctx)
-        for j in range(n):
-            coeff = inv_cols[j][a]  # ((P^t)^{-1})[a][j]
-            if not coeff.is_zero():
-                g = g + FreeElement.gen(ctx, j).scale(coeff)
-        new_gens.append(g)
-    # verify: rewrite w and the targets in the new letters; derivatives must match
-    images = []
-    for j in range(n):
-        img = FreeElement.zero(ctx)
-        for a in range(n):
-            if not p_rows[a][j].is_zero():
-                img = img + FreeElement.gen(ctx, a).scale(p_rows[a][j])
-        images.append(img)
+
+    def times_letters(matrix):
+        """sum_j matrix[a][j] x_j for each row a of a matrix of scalars."""
+        scalars = [[FreeElement.monomial(ctx, (), c) for c in row] for row in matrix]
+        return [g for (g,) in matmul(scalars, [[x] for x in gens(ctx)])]
+
+    new_gens = times_letters(zip(*inv_cols))
+    # verify: rewrite w and the targets in the new letters, x = P^t x';
+    # derivatives must match
+    images = times_letters(zip(*p_rows))
     w_new = w.linear_substitute(images)
     ok = all(
         w_new.left_derivative(a) == f_list[a].linear_substitute(images) for a in range(n)

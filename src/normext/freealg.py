@@ -1,4 +1,5 @@
-"""Words, homogeneous tensor-algebra elements, and the stripping operators.
+"""Words, homogeneous tensor-algebra elements, the stripping operators, and
+the product of matrices of elements.
 
 Elements are finitely supported maps word -> coefficient, where a word is a
 tuple of 0-based generator indices and the coefficient domain is fixed by
@@ -8,6 +9,9 @@ order in the declared generator order), so output is reproducible.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add
 
 from .scalars import Assignment, Scalar, UnitScalar
 
@@ -313,3 +317,12 @@ class FreeElement:
 
 def gens(ctx: Context) -> list[FreeElement]:
     return [FreeElement.gen(ctx, i) for i in range(ctx.n)]
+
+
+def matmul(a: list, b: list) -> list:
+    """The product of two matrices of elements, each given as a list of rows.
+
+    Entry (i, j) is a[i][0]*b[0][j] + a[i][1]*b[1][j] + ..., summed in that
+    order; a row of a and a column of b must have one length."""
+    cols = list(zip(*b))
+    return [[reduce(add, (x * y for x, y in zip(row, col, strict=True))) for col in cols] for row in a]

@@ -7,7 +7,7 @@ construction consumes.  Only diagonal twists are recognized.
 
 from __future__ import annotations
 
-from .freealg import AlgebraError, Context, FreeElement, HomogeneityError
+from .freealg import AlgebraError, Context, FreeElement, HomogeneityError, gens, matmul
 from .linalg import RowReducer
 
 
@@ -147,14 +147,12 @@ class Superpotential:
         self.f = cyclic_derivatives(w)
         self.g = trailing_derivatives(w)
         self.twist = twist_of(w)
-        # Defensive: the identities the twist encodes.
-        xs = [FreeElement.gen(self.ctx, i) for i in range(self.ctx.n)]
-        lead = FreeElement.zero(self.ctx)
-        trail = FreeElement.zero(self.ctx)
-        for i in range(self.ctx.n):
-            lead = lead + xs[i] * self.f[i]
-            trail = trail + self.f[i].scale(self.twist.scales[i]) * xs[i]
-        if lead != w or trail != w:
+        # Defensive: the identities the twist encodes, x^t f = w = (Qf)^t x.
+        xs = gens(self.ctx)
+        qf = [fi.scale(q) for fi, q in zip(self.f, self.twist.scales)]
+        lead = matmul([xs], [[fi] for fi in self.f])
+        trail = matmul([qf], [[x] for x in xs])
+        if lead != [[w]] or trail != [[w]]:
             raise DefectError("bundle identities failed after twist recognition")
 
     @property
@@ -185,24 +183,15 @@ def coefficient_matrix(w: FreeElement) -> list[list[FreeElement]]:
         m[i][j] = m[i][j] + FreeElement.monomial(ctx, mid, c)
     # Defensive checks: M x = f always; x^t M = (Qf)^t when a twist exists.
     f = cyclic_derivatives(w)
-    xs = [FreeElement.gen(ctx, i) for i in range(ctx.n)]
-    for i in range(ctx.n):
-        row = FreeElement.zero(ctx)
-        for j in range(ctx.n):
-            row = row + m[i][j] * xs[j]
-        if row != f[i]:
-            raise DefectError("coefficient matrix fails M x = f")
+    xs = gens(ctx)
+    if matmul(m, [[x] for x in xs]) != [[fi] for fi in f]:
+        raise DefectError("coefficient matrix fails M x = f")
     try:
         q = twist_of(w)
     except TwistError:
         q = None
-    if q is not None:
-        for j in range(ctx.n):
-            col = FreeElement.zero(ctx)
-            for i in range(ctx.n):
-                col = col + xs[i] * m[i][j]
-            if col != f[j].scale(q.scales[j]):
-                raise DefectError("coefficient matrix fails x^t M = (Qf)^t")
+    if q is not None and matmul([xs], m) != [[fi.scale(s) for fi, s in zip(f, q.scales)]]:
+        raise DefectError("coefficient matrix fails x^t M = (Qf)^t")
     return m
 
 

@@ -4,13 +4,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import field_instances, field_w, parse_tuple
 from normext.certify import (
     BuildError,
     EntryWalks,
+    ResolutionDefect,
     ExtensionSpec,
-    ResolutionData,
     build_extension,
     full_certificate,
     hdet_certificate,
@@ -22,12 +24,15 @@ from normext.certify import (
     resolution_maps,
     verify_hilbert,
 )
+from normext import certify, cli
+from normext.cli import default_corpus_path
 from normext.dsl import parse_algebra, parse_poly, print_poly
-from normext.freealg import Context, FreeElement
+from normext.freealg import Context, FreeElement, matmul
 from normext.linalg import RowReducer
 from normext.quotient import GradedQuotient
 from normext.scalars import Scalar
 from normext.superpotential import Superpotential
+from normext.tuples import is_good
 
 CTX = Context(("x", "y", "z"), 1)
 W_POLY = parse_poly("x*y*z + y*z*x + z*x*y - x*z*y - z*y*x - y*x*z", CTX)
@@ -163,14 +168,15 @@ def test_resolution_shapes_and_identities():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    res = ResolutionData(spec)  # identity checks run inside
-    assert len(res.Ml) == 2 and len(res.Ml[0]) == 2
-    assert len(res.Mr) == 2 and len(res.Mr[0]) == 2
-    res3 = ResolutionData(poly_spec())
-    assert len(res3.Ml) == 3 and len(res3.Ml[0]) == 4
-    assert len(res3.Mr) == 4 and len(res3.Mr[0]) == 3
-    for _a, _b, ent in res3.product_entries():
-        assert ent.is_zero() or ent.degree == 3  # 2m - 1 with m = 2
+    _, (_, (Ml, _), (Mr, _), _) = resolution_maps(spec)  # identity checks run inside
+    assert len(Ml) == 2 and len(Ml[0]) == 2
+    assert len(Mr) == 2 and len(Mr[0]) == 2
+    _, (_, (Ml, _), (Mr, _), _) = resolution_maps(poly_spec())
+    assert len(Ml) == 3 and len(Ml[0]) == 4
+    assert len(Mr) == 4 and len(Mr[0]) == 3
+    for row in matmul(Ml, Mr):
+        for ent in row:
+            assert ent.is_zero() or ent.degree == 3  # 2m - 1 with m = 2
 
 
 def test_resolution_certificate_cy():
@@ -190,9 +196,60 @@ def test_resolution_certificate_bad_tuple():
 
 def test_resolution_index_k_permutation():
     spec = build_extension(SP_POLY, (ONE, ONE, ONE), 2, label="k3")
-    assert ResolutionData(spec).perm == (2, 0, 1)
+    assert resolution_maps(spec)[0] == (2, 0, 1)
     data, checks = resolution_certificate(spec, gb(spec.D), 6)
     assert all(c.passed for c in checks)
+
+
+def test_a_broken_resolution_identity_is_an_internal_defect(monkeypatch, capsys):
+    """One perturbed entry of M breaks x^t M_l = g_l^t: ``resolution_maps``
+    raises, and ``normext verify`` reports an internal defect with exit 2."""
+    spec = poly_spec()
+    real = certify.coefficient_matrix
+
+    def perturbed(w):
+        m = real(w)
+        m[0][0] = m[0][0] + FreeElement.monomial(w.ctx, (0,) * (w.degree - 2))
+        return m
+
+    monkeypatch.setattr(certify, "coefficient_matrix", perturbed)
+    with pytest.raises(ResolutionDefect, match="x\\^t M_l = g_l\\^t fails"):
+        resolution_maps(spec)
+    path = str(default_corpus_path() / "w_poly.alg")
+    assert cli.run(["verify", path, "--omit", "1", "--p", "1,1,1", "--engine", "gb"]) == 2
+    assert capsys.readouterr().err.startswith("internal defect: x^t M_l = g_l^t fails")
+
+
+PARAMETER_VALUES = ["1", "-1", "2", "-2", "1/2", "-1/2", "3", "-1/3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_tuple_is_good_exactly_when_the_complex_property_holds(corpus_entries, data):
+    """On skew and cubic_a at random parameter values, with p_k = q_k and
+    the other entries random (for skew, half the draws completed to
+    p_1 p_2 p_3 = q_k): every entry of M_l M_r lies in D's ideal exactly
+    when the tuple is good."""
+    name = data.draw(st.sampled_from(["skew", "cubic_a"]))
+    af = corpus_entries[name].algebra
+    values = data.draw(st.lists(st.sampled_from(PARAMETER_VALUES), min_size=3, max_size=3))
+    asg = af.assignment(",".join(f"{a}:={v}" for a, v in zip(af.params, values)))
+    sp = Superpotential(af.w.specialize(asg))
+    k = data.draw(st.integers(0, sp.n - 1))
+    draws = data.draw(st.lists(st.sampled_from(PARAMETER_VALUES), min_size=sp.n, max_size=sp.n))
+    p = [Scalar.from_rational(Fraction(v), af.conductor) for v in draws]
+    p[k] = sp.twist.scales[k]
+    if name == "skew" and data.draw(st.booleans()):
+        j, l = (i for i in range(3) if i != k)
+        p[j] = p[l].inv()  # so p_1 p_2 p_3 = p_k = q_k
+    try:
+        spec = build_extension(sp, p, k)
+    except BuildError:
+        assume(False)
+    _, (_, (Ml, _), (Mr, _), _) = resolution_maps(spec)
+    D = GradedQuotient(spec.D, "both")
+    complex_ok = all(D.contains(ent) for row in matmul(Ml, Mr) for ent in row)
+    assert bool(is_good(sp, k, p)) == complex_ok
 
 
 def test_nakayama_cy_identity():
@@ -289,11 +346,11 @@ def test_normal_forms_from_the_degree_below_equal_direct_ones(corpus_entries, en
         m, n = spec.m, spec.n
         bound = 2 * m + 2
         D = GradedQuotient(spec.D, engine)
-        res = ResolutionData(spec)
+        _, (_, (Ml, _), (Mr, _), _) = resolution_maps(spec)
         cases = [(spec.omega, True, bound - m), (spec.omega, False, bound - m)]
-        cases += [(e, True, bound - 2 * m) for row in res.Ml for e in row if not e.is_zero()]
+        cases += [(e, True, bound - 2 * m) for row in Ml for e in row if not e.is_zero()]
         shifts_p2 = [m] * (n - 1) + [m + 1] * (n - 1)
-        cases += [(e, True, bound - a) for row, a in zip(res.Mr, shifts_p2) for e in row if not e.is_zero()]
+        cases += [(e, True, bound - a) for row, a in zip(Mr, shifts_p2) for e in row if not e.is_zero()]
         for e, left, top in cases:
             for d, nfs in zip(range(top + 1), multiples_by_degree(D, e, left)):
                 words = D.normal_words(d)
@@ -319,7 +376,7 @@ def test_shared_walks_give_each_entry_its_own_rows(corpus_entries, engine):
         D = GradedQuotient(spec.D, engine)
         walks = EntryWalks(D)
         readers = []  # (first degree, last degree, scale, shared walk, own walk)
-        for entries, shifts in resolution_maps(spec, ResolutionData(spec)):
+        for entries, shifts in resolution_maps(spec)[1]:
             for row, a in zip(entries, shifts):
                 for ent in row:
                     if not ent.is_zero():
@@ -356,14 +413,16 @@ def test_engines_agree_at_the_default_bound(corpus_entries, label):
     assert gb_cert == la_cert
 
 
-def test_reports_equal_the_benchmark_reference(corpus_entries):
-    """``verify --engine gb --bound m+2`` prints, byte for byte, what the
-    benchmark recorded for every corpus instance and bad tuple."""
+@pytest.mark.parametrize("engine", ["gb", "la", "both"])
+def test_reports_equal_the_benchmark_reference(corpus_entries, engine):
+    """``verify --bound m+2`` prints, byte for byte, what the benchmark
+    recorded under gb for every corpus instance and bad tuple, under every
+    engine: the certificate names no engine."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     reference = json.loads(path.read_text(encoding="utf-8"))
     for label, spec in corpus_specs(corpus_entries):
         key = f"verify:gb:{spec.m + 2}:{label}"
         if key not in reference:
             pytest.fail(f"{path} has no entry {key!r}")
-        text = full_certificate(spec, bound=spec.m + 2, engine="gb").dumps()
+        text = full_certificate(spec, bound=spec.m + 2, engine=engine).dumps()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[key], key

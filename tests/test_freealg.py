@@ -12,6 +12,7 @@ from normext.freealg import (
     FreeElement,
     HomogeneityError,
     gens,
+    matmul,
 )
 from normext.scalars import Scalar, UnitScalar
 
@@ -104,6 +105,31 @@ def test_mul_associative_randomized():
         b = random_element(rng, CTX, rng.randint(0, 2), 3)
         c = random_element(rng, CTX, rng.randint(0, 2), 3)
         assert (a * b) * c == a * (b * c)
+
+
+def test_matmul_sums_entrywise_and_associates():
+    """An n x 2(n-1) times a 2(n-1) x n matrix, as the resolution's M_l M_r:
+    each entry is the sum of its products, and (ab)c = a(bc)."""
+    rng = random.Random(15)
+    n = CTX.n
+
+    def matrix(rows, cols):
+        return [
+            [random_element(rng, CTX, rng.randint(0, 2), rng.randint(0, 3)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    for _ in range(5):
+        a, b, c = matrix(n, 2 * (n - 1)), matrix(2 * (n - 1), n), matrix(n, 2)
+        ab = matmul(a, b)
+        assert len(ab) == n and all(len(row) == n for row in ab)
+        for i in range(n):
+            for j in range(n):
+                want = FreeElement.zero(CTX)
+                for t in range(2 * (n - 1)):
+                    want = want + a[i][t] * b[t][j]
+                assert ab[i][j] == want
+        assert matmul(ab, c) == matmul(a, matmul(b, c))
 
 
 def test_print_parse_roundtrip_randomized():

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element
+from normext import superpotential
 from normext.dsl import parse_poly, print_poly
 from normext.freealg import Context, FreeElement
 from normext.linalg import RowReducer
 from normext.scalars import Assignment, Scalar, UnitScalar
 from normext.superpotential import (
+    DefectError,
     DiagonalMap,
     IntersectionError,
     NotEigenvectorError,
@@ -223,6 +225,23 @@ def test_eigen_scale_failure_reports_both_monomials():
     with pytest.raises(NotEigenvectorError) as e:
         eigen_scale(sig, f)
     assert len(e.value.witnesses) == 2 and e.value.values[0] != e.value.values[1]
+
+
+def test_a_rescaled_bundle_breaks_m_x_equals_f(monkeypatch):
+    real = superpotential.cyclic_derivatives
+    two = Scalar.from_rational(2)
+    monkeypatch.setattr(superpotential, "cyclic_derivatives", lambda w: [f.scale(two) for f in real(w)])
+    with pytest.raises(DefectError, match="M x = f"):
+        coefficient_matrix(W_POLY)
+
+
+def test_a_wrong_twist_breaks_the_bundle_identities(monkeypatch):
+    wrong = DiagonalMap(CTX, (Scalar.from_rational(2), Scalar.one(1), Scalar.one(1)))
+    monkeypatch.setattr(superpotential, "twist_of", lambda w: wrong)
+    with pytest.raises(DefectError, match="bundle identities failed"):
+        Superpotential(W_POLY)
+    with pytest.raises(DefectError, match="x\\^t M = \\(Qf\\)\\^t"):
+        coefficient_matrix(W_POLY)
 
 
 def test_coefficient_matrix_verifies_mx_f_randomized():

@@ -12,7 +12,11 @@ desk-checkable to a degree bound:
   vanishing of both multiplication kernels,
 * the candidate resolution: the identities x^t M_l = g_l^t and M_r x = g_r,
   the complex property M_l M_r = 0 in D (each product a ``freealg.matmul``),
-  Euler residuals, and degree-wise rank exactness,
+  Euler residuals, and degree-wise rank exactness.  D is generated in
+  degree 1 and both engines' normal words are prefix-closed: a normal word
+  w of degree d >= 1 is NF(w[:-1]*x_{w[-1]}) with w[:-1] normal.  So the
+  last map u*e_i -> u*x_i has rank dim D_d - [d = 0] and is not walked, and
+  every dimension is read from D's Hilbert table,
 * the diagonal Nakayama map x_i -> (p_i q_i)^{-1} x_i and the homological
   determinant factorization, which must multiply to 1.
 
@@ -261,7 +265,7 @@ def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tup
     def kernel_dims(left: bool) -> list[int]:
         """dim ker of u -> u*Omega (left) or u -> Omega*u, degree by degree."""
         ranks = _graded_map_ranks(EntryWalks(D, left), [[omega]], [0])
-        return [dim - rank for _, (rank, dim) in zip(range(bound - spec.m + 1), ranks)]
+        return [dim - rank for dim, rank in zip(D.dims(bound - spec.m), ranks)]
 
     right_kernels = kernel_dims(left=True)
     left_kernels = kernel_dims(left=False)
@@ -293,9 +297,10 @@ def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tup
 
 def resolution_maps(spec: ExtensionSpec) -> tuple[tuple, list]:
     """The permutation of the generators (omitted index first, the rest
-    ascending), and the (entries, source shifts) of the four maps
-    P4 -> P3 -> P2 -> P1 -> P0 of the candidate resolution in that order:
-    the letters as a row, M_l, M_r and the letters as a column.
+    ascending), and the (entries, source shifts) of the three maps
+    P4 -> P3 -> P2 -> P1 of the candidate resolution whose ranks are
+    computed, in that order: the letters as a row, M_l and M_r.  The
+    letters as a column, P1 -> P0, appear only in the check of M_r x = g_r.
 
     Raises ResolutionDefect unless x^t M_l = g_l^t and M_r x = g_r, where
     g_l and g_r list D's relations scaled as the paper's identities need."""
@@ -333,7 +338,6 @@ def resolution_maps(spec: ExtensionSpec) -> tuple[tuple, list]:
         ([xs], [2 * m + 1]),
         (Ml, [2 * m] * n),
         (Mr, [m] * (n - 1) + [m + 1] * (n - 1)),
-        (xcol, [1] * n),
     ]
 
 
@@ -341,13 +345,13 @@ class EntryWalks:
     """``multiples_by_degree`` walks on one side, one per map entry up to a
     nonzero scalar: an entry c*e', with e' monic at its deglex lead, reads
     e''s walk, since NF(u*c*e') = c*NF(u*e') (and on the right,
-    NF(c*e'*u) = c*NF(e'*u)).  The resolution's maps share the letters (e43
-    and e10), each M[a][b] (M_l and M_r) and multiples of letters, each map
-    at its own fixed lag, so a walk's degree is made on its first read and
-    dropped after its last.  These are the walks the entries would make on
-    their own, each made once, and every step is still a
-    ``quot.normal_form`` call.  The store also numbers the normal words of
-    each degree once for every map it serves."""
+    NF(c*e'*u) = c*NF(e'*u)).  The resolution's maps share each M[a][b]
+    (M_l and M_r) and multiples of letters, each map at its own fixed lag,
+    so a walk's degree is made on its first read and dropped after its
+    last.  These are the walks the entries would make on their own, each
+    made once, and every step is still a ``quot.normal_form`` call.  The
+    store also numbers the normal words of each degree once for every map
+    it serves."""
 
     def __init__(self, quot: GradedQuotient, left: bool = True) -> None:
         self.quot = quot
@@ -393,7 +397,7 @@ class EntryWalks:
 
 
 def _graded_map_ranks(walks: EntryWalks, entries, shifts_src):
-    """Yield (rank, source dimension) of the degree-deg block of the map
+    """Yield the rank of the degree-deg block of the map
     u*e_s -> sum_t u*entries[s][t]*e_t (entries[s][t]*u when ``walks`` is a
     right-side store), for deg = 0, 1, 2, ...  Each nonzero entry reads
     its walk from ``walks`` once per degree, from the degree its source
@@ -412,9 +416,8 @@ def _graded_map_ranks(walks: EntryWalks, entries, shifts_src):
         own = [(t, ent.degree, *walks.reader(ent)) for t, ent in enumerate(row) if not ent.is_zero()]
         readers.append(own if len(own) > 1 else [(t, e, None, degrees) for t, e, _, degrees in own])
 
-    def block(deg: int) -> tuple[int, int]:
+    def block(deg: int) -> int:
         red = RowReducer()
-        src_dim = 0
         for s, a_s in enumerate(shifts_src):
             if deg < a_s:
                 continue
@@ -422,16 +425,14 @@ def _graded_map_ranks(walks: EntryWalks, entries, shifts_src):
                 (t, walks.positions(deg - a_s + e), scale, next(degrees))
                 for t, e, scale, degrees in readers[s]
             ]
-            words = walks.quot.normal_words(deg - a_s)
-            src_dim += len(words)
-            for u in words:
+            for u in walks.quot.normal_words(deg - a_s):
                 row: dict = {}
                 for t, pos, scale, nfs in images:
                     for wd, c in nfs[u].terms.items():
                         row[pos[wd] * width + t] = c if scale is None else scale(c)
                 if row:
                     red.insert(row)
-        return red.rank, src_dim
+        return red.rank
 
     return map(block, count())
 
@@ -442,7 +443,7 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
     perm, maps = resolution_maps(spec)  # raises ResolutionDefect unless the identities hold
 
     # (a) complex property: every entry of M_l M_r lies in the ideal
-    _, (Ml, _), (Mr, _), _ = maps
+    _, (Ml, _), (Mr, _) = maps
     bad_entries = [
         [perm[a] + 1, perm[b] + 1]
         for a, row in enumerate(matmul(Ml, Mr))
@@ -451,39 +452,31 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
     ]
     complex_ok = not bad_entries
 
-    # (b) Euler residuals from the graded dimensions
+    # (b) Euler residuals and (c) degree-wise rank exactness, each degree's
+    # dimensions of P0..P4 read from D's Hilbert table
     dims = D.dims(bound)
 
     def dd(j: int) -> int:
-        return dims[j] if 0 <= j <= bound else 0
+        return dims[j] if j >= 0 else 0
 
-    residuals = []
-    for k in range(bound + 1):
-        r = (
-            -(1 if k == 0 else 0)
-            + dd(k)
-            - n * dd(k - 1)
-            + (n - 1) * (dd(k - m) + dd(k - m - 1))
-            - n * dd(k - 2 * m)
-            + dd(k - 2 * m - 1)
-        )
-        residuals.append(r)
-    euler_ok = not any(residuals)
-
-    # (c) degree-wise rank exactness of the candidate complex
     walks = EntryWalks(D)
     ranks = [_graded_map_ranks(walks, entries, shifts) for entries, shifts in maps]
+    residuals = []
     exact_ok = True
     exact_witness = None
     rank_rows = []
     for deg in range(bound + 1):
-        (r4, dim4), (r3, dim3), (r2, dim2), (r1, dim1) = map(next, ranks)
+        dim0, dim1, dim2 = dd(deg), n * dd(deg - 1), (n - 1) * (dd(deg - m) + dd(deg - m - 1))
+        dim3, dim4 = n * dd(deg - 2 * m), dd(deg - 2 * m - 1)
+        # P1 -> P0 maps onto D_{>=1} (see the module docstring), and k sits in degree 0
+        r1 = dim0 - (1 if deg == 0 else 0)
+        residuals.append(r1 - dim1 + dim2 - dim3 + dim4)
+        r4, r3, r2 = map(next, ranks)
         conds = {
             "P4_injective": r4 == dim4,
             "P3_exact": r4 + r3 == dim3,
             "P2_exact": r3 + r2 == dim2,
             "P1_exact": r2 + r1 == dim1,
-            "P0_exact": r1 == dd(deg) - (1 if deg == 0 else 0),
         }
         rank_rows.append(
             {"degree": deg, "ranks": [r4, r3, r2, r1], "dims": [dim4, dim3, dim2, dim1]}
@@ -494,6 +487,7 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
                 "degree": deg,
                 "failed": sorted(nm for nm, ok in conds.items() if not ok),
             }
+    euler_ok = not any(residuals)
 
     diag = {"euler_residuals": residuals, "rank_profile": rank_rows}
     checks = [

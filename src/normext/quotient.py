@@ -163,6 +163,7 @@ class LinearEngine:
         # code 0, is standard
         self.levels: list[RowReducer] = [RowReducer(entry_limit=entry_limit)]
         self.standard: list[list[int]] = [[0]]  # codes of each level's standard words, ascending
+        self._words: dict[int, list[tuple]] = {}  # degree -> its standard words, once asked for
 
     def _relation_rows(self, d: int):
         """Rows r * v for each relation r and standard word v of degree
@@ -222,9 +223,12 @@ class LinearEngine:
         return out
 
     def normal_words(self, d: int) -> list[tuple]:
-        """Standard words of degree d (the non-pivots), in deglex order."""
-        self._level(d)
-        return [code_word(c, self.pres.ctx.n) for c in self.standard[d]]
+        """Standard words of degree d (the non-pivots), in deglex order: a
+        list built on the first request and kept, which callers must not mutate."""
+        if d not in self._words:
+            self._level(d)
+            self._words[d] = [code_word(c, self.pres.ctx.n) for c in self.standard[d]]
+        return self._words[d]
 
     def normal_form(self, f: FreeElement) -> FreeElement:
         """f fully reduced against the echelon basis of its degree."""

@@ -13,6 +13,7 @@ from normext.certify import (
     EntryWalks,
     ResolutionDefect,
     ExtensionSpec,
+    _graded_map_ranks,
     build_extension,
     full_certificate,
     hdet_certificate,
@@ -168,10 +169,10 @@ def test_resolution_shapes_and_identities():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    _, (_, (Ml, _), (Mr, _), _) = resolution_maps(spec)  # identity checks run inside
+    _, (_, (Ml, _), (Mr, _)) = resolution_maps(spec)  # identity checks run inside
     assert len(Ml) == 2 and len(Ml[0]) == 2
     assert len(Mr) == 2 and len(Mr[0]) == 2
-    _, (_, (Ml, _), (Mr, _), _) = resolution_maps(poly_spec())
+    _, (_, (Ml, _), (Mr, _)) = resolution_maps(poly_spec())
     assert len(Ml) == 3 and len(Ml[0]) == 4
     assert len(Mr) == 4 and len(Mr[0]) == 3
     for row in matmul(Ml, Mr):
@@ -246,7 +247,7 @@ def test_a_tuple_is_good_exactly_when_the_complex_property_holds(corpus_entries,
         spec = build_extension(sp, p, k)
     except BuildError:
         assume(False)
-    _, (_, (Ml, _), (Mr, _), _) = resolution_maps(spec)
+    _, (_, (Ml, _), (Mr, _)) = resolution_maps(spec)
     D = GradedQuotient(spec.D, "both")
     complex_ok = all(D.contains(ent) for row in matmul(Ml, Mr) for ent in row)
     assert bool(is_good(sp, k, p)) == complex_ok
@@ -346,7 +347,7 @@ def test_normal_forms_from_the_degree_below_equal_direct_ones(corpus_entries, en
         m, n = spec.m, spec.n
         bound = 2 * m + 2
         D = GradedQuotient(spec.D, engine)
-        _, (_, (Ml, _), (Mr, _), _) = resolution_maps(spec)
+        _, (_, (Ml, _), (Mr, _)) = resolution_maps(spec)
         cases = [(spec.omega, True, bound - m), (spec.omega, False, bound - m)]
         cases += [(e, True, bound - 2 * m) for row in Ml for e in row if not e.is_zero()]
         shifts_p2 = [m] * (n - 1) + [m + 1] * (n - 1)
@@ -367,10 +368,10 @@ def exact_terms(terms):
 
 @pytest.mark.parametrize("engine", ["la", "gb"])
 def test_shared_walks_give_each_entry_its_own_rows(corpus_entries, engine):
-    """Read in the certificate's order, the walk an entry of e43, M_l, M_r or
-    e10 shares with the entries equal to it up to a scalar gives, degree by
-    degree, the dicts of its own walk, to the degree the certificate at
-    2m+2 reads; and so does a right-side walk of Omega."""
+    """Read in the certificate's order, the walk an entry of the letter row,
+    M_l or M_r shares with the entries equal to it up to a scalar gives,
+    degree by degree, the dicts of its own walk, to the degree the
+    certificate at 2m+2 reads; and so does a right-side walk of Omega."""
     for label, spec in corpus_specs(corpus_entries):
         bound = 2 * spec.m + 2
         D = GradedQuotient(spec.D, engine)
@@ -397,6 +398,51 @@ def test_shared_walks_give_each_entry_its_own_rows(corpus_entries, engine):
                 for u, nf in want.items():
                     scaled = {w: c if scale is None else scale(c) for w, c in got[u].terms.items()}
                     assert exact_terms(scaled) == exact_terms(nf.terms), (label, engine, u)
+
+
+@pytest.mark.parametrize("engine", ["la", "gb", "both"])
+def test_the_letter_column_rank_is_the_augmentation_dimension(corpus_entries, engine):
+    """The map u*e_i -> u*x_i of the candidate resolution, walked and ranked
+    as the other three maps are, has rank dim D_d - [d = 0] in every degree
+    to 2m+2: the value the certificate reports as r1 without walking it.
+    Under ``both`` the two engines compare NF(u*x_i) for every normal word
+    u to degree 2m+1, further than the certificate's own walks read them."""
+    for label, spec in corpus_specs(corpus_entries):
+        n, bound = spec.n, 2 * spec.m + 2
+        D = GradedQuotient(spec.D, engine)
+        letters = [[FreeElement.gen(spec.ctx, i)] for i in range(n)]
+        ranks = _graded_map_ranks(EntryWalks(D), letters, [1] * n)
+        walked = [rank for _, rank in zip(range(bound + 1), ranks)]
+        data, _checks = resolution_certificate(spec, D, bound)
+        reported = [row["ranks"][3] for row in data["diagnostics"]["rank_profile"]]
+        augmentation = [dim - (1 if d == 0 else 0) for d, dim in enumerate(D.dims(bound))]
+        assert walked == reported == augmentation, label
+
+
+def reversed_letters(spec):
+    """spec with its generators in reverse order: x_i becomes x_{n-1-i},
+    and w, p and k are carried along."""
+    ctx, n = spec.ctx, spec.n
+    rctx = Context(tuple(reversed(ctx.gens)), ctx.conductor, ctx.params, ctx.mode)
+    w = FreeElement(rctx, {tuple(n - 1 - a for a in word): c for word, c in spec.sp.w.terms.items()})
+    return build_extension(Superpotential(w), tuple(reversed(spec.p)), n - 1 - spec.k, label=spec.label)
+
+
+@pytest.mark.parametrize("engine", ["la", "gb"])
+def test_reversing_the_generators_changes_no_verdict_or_table(corpus_entries, engine):
+    """An isomorphism of D that permutes the letters changes no Hilbert
+    table, no check's verdict, no rank of the candidate resolution and no
+    annihilator dimension; the Nakayama scales x_i -> (p_i q_i)^{-1} x_i
+    come out in the reversed order."""
+    for label, spec in corpus_specs(corpus_entries):
+        bound = 2 * spec.m + 2
+        cert, rcert = (full_certificate(s, bound=bound, engine=engine) for s in (spec, reversed_letters(spec)))
+        assert rcert.tables == cert.tables, label
+        assert rcert.passed == cert.passed, label
+        assert [(c.name, c.passed) for c in rcert.checks] == [(c.name, c.passed) for c in cert.checks], label
+        for key in ("rank_profile", "euler_residuals", "e", "right_annihilator_dims", "left_annihilator_dims"):
+            assert rcert.diagnostics[key] == cert.diagnostics[key], (label, key)
+        assert rcert.nakayama == (None if cert.nakayama is None else cert.nakayama[::-1]), label
 
 
 @pytest.mark.parametrize("label", ["sklyanin:k=2:p=(z^2,1,z)", "cubic_a:k=2:p=(-1,1)"])

@@ -275,6 +275,26 @@ def test_standard_word_pruning_keeps_every_level(corpus_entries):
             assert pruned.normal_words(d) == scan, (pres.label, d)
 
 
+@pytest.mark.parametrize("engine", [LinearEngine, GBState], ids=["la", "gb"])
+def test_normal_words_are_prefix_closed(corpus_entries, engine):
+    """Every normal word w of degree d >= 1 has its prefix w[:-1] among the
+    normal words of degree d-1, and NF(w[:-1]*x_{w[-1]}) = w, for every
+    corpus A and D to 2m+4.  So D, generated in degree 1, has u*e_i ->
+    u*x_i onto D_{>=1}, the rank the certificate reports for P1 -> P0."""
+    for pres, bound in corpus_presentations(corpus_entries):
+        quot, ctx = engine(pres), pres.ctx
+        below = {()}
+        top = 2 * (bound - 3) + 4  # 2m+4, with bound = m+3
+        for d in range(1, top + 1):
+            words = quot.normal_words(d)
+            assert quot.normal_words(d) is words  # kept, not rebuilt
+            for w in words:
+                assert w[:-1] in below, (pres.label, w)
+                f = FreeElement.monomial(ctx, w[:-1]) * FreeElement.gen(ctx, w[-1])
+                assert quot.normal_form(f) == FreeElement.monomial(ctx, w), (pres.label, w)
+            below = set(words)
+
+
 def test_engines_agree_on_normal_words_and_forms(completed):
     """The LA pivots are the deglex leading words, so the standard words are
     the GB normal words and the two normal forms agree term by term."""

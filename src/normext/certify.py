@@ -20,6 +20,16 @@ desk-checkable to a degree bound:
 * the diagonal Nakayama map x_i -> (p_i q_i)^{-1} x_i and the homological
   determinant factorization, which must multiply to 1.
 
+One stage per item: ``verify_hilbert``, ``omega_certificate``,
+``resolution_certificate``, ``nakayama`` and ``hdet_certificate``.  Each
+takes the ``Certificate`` being built, reads the degree bound from it,
+writes its own part of the report (``tables``, ``diagnostics``,
+``nakayama``, ``hdet``) and adds its checks through ``Certificate.add`` in
+report order.  ``full_certificate`` only runs the stages: it adds the
+good-tuple check first, the dual-route z check between the omega and
+resolution stages, and runs the last two stages only if every check so
+far passed.
+
 Certificates never claim anything beyond the bound; report wording is
 "verified to degree B".
 """
@@ -189,10 +199,9 @@ def predicted_dims(a_dims, m: int, bound: int) -> list[int]:
     ]
 
 
-def verify_hilbert(
-    spec: ExtensionSpec, A: GradedQuotient, D: GradedQuotient, bound: int
-) -> tuple[dict, list]:
+def verify_hilbert(cert: Certificate, spec: ExtensionSpec, A: GradedQuotient, D: GradedQuotient) -> None:
     """Tables, defect e_k = d'_k - d_k, and derived z_k; pass iff e = 0."""
+    bound = cert.bound
     dims_a = A.dims(bound)
     dims_d = D.dims(bound)
     pred = predicted_dims(dims_a, spec.m, bound)
@@ -201,14 +210,9 @@ def verify_hilbert(
         raise ResolutionDefect("negative Hilbert defect; engine inconsistency")
     z = [e[k + spec.m] - e[k] for k in range(bound - spec.m + 1)]
     first_defect = next((k for k, v in enumerate(e) if v), None)
-    data = {
-        "A": dims_a,
-        "D": dims_d,
-        "predicted_D": pred,
-    }
-    diag = {"e": e, "z_from_e": z, "first_defect_degree": first_defect}
-    checks = [Check("hilbert_identity", first_defect is None, witness=first_defect)]
-    return {"tables": data, "diagnostics": diag}, checks
+    cert.tables.update(A=dims_a, D=dims_d, predicted_D=pred)
+    cert.diagnostics.update(e=e, z_from_e=z, first_defect_degree=first_defect)
+    cert.add("hilbert_identity", first_defect is None, first_defect)
 
 
 # -- normal forms of multiples, degree by degree ------------------------------
@@ -247,7 +251,8 @@ def multiples_by_degree(quot: GradedQuotient, e: FreeElement, left: bool):
 # -- Omega: normality, centrality, regularity ---------------------------------
 
 
-def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tuple[dict, list]:
+def omega_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient) -> None:
+    bound = cert.bound
     if bound < spec.m + 1:
         raise BuildError(f"bound {bound} too small; need at least m+1 = {spec.m + 1}")
     ctx = spec.ctx
@@ -258,7 +263,7 @@ def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tup
     # omitted index can fail
     k = spec.k
     normal_ok = D.contains(xs[k] * omega - omega.scale(spec.p[k]) * xs[k])
-    normal_witness = None if normal_ok else ctx.gens[k]
+    cert.add("omega_normal", normal_ok, None if normal_ok else ctx.gens[k])
 
     central = all(D.contains(xs[i] * omega - omega * xs[i]) for i in range(spec.n))
 
@@ -271,25 +276,19 @@ def omega_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tup
     left_kernels = kernel_dims(left=False)
 
     regular = not any(right_kernels) and not any(left_kernels)
-    diag = {
-        "right_annihilator_dims": right_kernels,
-        "left_annihilator_dims": left_kernels,
-        "central": central,
-    }
-    checks = [
-        Check("omega_normal", normal_ok, witness=normal_witness),
-        Check(
-            "omega_regular",
-            regular,
-            witness=None
-            if regular
-            else {
-                "first_right": next((d for d, v in enumerate(right_kernels) if v), None),
-                "first_left": next((d for d, v in enumerate(left_kernels) if v), None),
-            },
-        ),
-    ]
-    return {"diagnostics": diag}, checks
+    cert.diagnostics.update(
+        right_annihilator_dims=right_kernels, left_annihilator_dims=left_kernels, central=central
+    )
+    cert.add(
+        "omega_regular",
+        regular,
+        None
+        if regular
+        else {
+            "first_right": next((d for d, v in enumerate(right_kernels) if v), None),
+            "first_left": next((d for d, v in enumerate(left_kernels) if v), None),
+        },
+    )
 
 
 # -- candidate resolution -------------------------------------------------------
@@ -437,10 +436,10 @@ def _graded_map_ranks(walks: EntryWalks, entries, shifts_src):
     return map(block, count())
 
 
-def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -> tuple[dict, list]:
-    n = spec.n
-    m = spec.m
+def resolution_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient) -> None:
+    n, m, bound = spec.n, spec.m, cert.bound
     perm, maps = resolution_maps(spec)  # raises ResolutionDefect unless the identities hold
+    cert.add("resolution_identities", True)
 
     # (a) complex property: every entry of M_l M_r lies in the ideal
     _, (Ml, _), (Mr, _) = maps
@@ -450,7 +449,7 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
         for b, ent in enumerate(row)
         if not D.contains(ent)
     ]
-    complex_ok = not bad_entries
+    cert.add("complex_property", not bad_entries, bad_entries or None)
 
     # (b) Euler residuals and (c) degree-wise rank exactness, each degree's
     # dimensions of P0..P4 read from D's Hilbert table
@@ -462,7 +461,6 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
     walks = EntryWalks(D)
     ranks = [_graded_map_ranks(walks, entries, shifts) for entries, shifts in maps]
     residuals = []
-    exact_ok = True
     exact_witness = None
     rank_rows = []
     for deg in range(bound + 1):
@@ -481,90 +479,65 @@ def resolution_certificate(spec: ExtensionSpec, D: GradedQuotient, bound: int) -
         rank_rows.append(
             {"degree": deg, "ranks": [r4, r3, r2, r1], "dims": [dim4, dim3, dim2, dim1]}
         )
-        if not all(conds.values()) and exact_ok:
-            exact_ok = False
+        if not all(conds.values()) and exact_witness is None:
             exact_witness = {
                 "degree": deg,
                 "failed": sorted(nm for nm, ok in conds.items() if not ok),
             }
-    euler_ok = not any(residuals)
+    first_residual = next((k for k, v in enumerate(residuals) if v), None)
 
-    diag = {"euler_residuals": residuals, "rank_profile": rank_rows}
-    checks = [
-        Check("resolution_identities", True),
-        Check("complex_property", complex_ok, witness=bad_entries or None),
-        Check(
-            "euler_residuals",
-            euler_ok,
-            witness=None
-            if euler_ok
-            else {"first_nonzero_degree": next(k for k, v in enumerate(residuals) if v)},
-        ),
-        Check("rank_exactness", exact_ok, witness=exact_witness),
-    ]
-    return {"diagnostics": diag}, checks
+    cert.diagnostics.update(euler_residuals=residuals, rank_profile=rank_rows)
+    cert.add(
+        "euler_residuals",
+        first_residual is None,
+        None if first_residual is None else {"first_nonzero_degree": first_residual},
+    )
+    cert.add("rank_exactness", exact_witness is None, exact_witness)
 
 
 # -- Nakayama and homological determinant ------------------------------------------
 
 
-def nakayama(spec: ExtensionSpec, D: GradedQuotient) -> tuple[dict, list]:
+def nakayama(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient) -> None:
     ctx = spec.ctx
     q = spec.sp.twist.scales
     nu = DiagonalMap(ctx, [(spec.p[i] * q[i]).inv() for i in range(spec.n)])
     tau = DiagonalMap(ctx, [spec.p[i].inv() for i in range(spec.n)])
 
-    # relation spans are nu-stable, degree by degree
-    spans_ok = True
-    witness = None
-    by_degree: dict[int, list[FreeElement]] = {}
+    # relation spans are nu-stable, degree by degree; the relations are
+    # listed by degree, so the first one moved out is in the lowest degree
+    spans: dict[int, RowReducer] = {}
     for r in spec.D.relations:
-        by_degree.setdefault(r.degree, []).append(r)
-    for dgr, rels in sorted(by_degree.items()):
-        red = RowReducer(r.terms for r in rels)
-        for r in rels:
-            img = nu.apply(r)
-            if not red.contains(dict(img.terms)):
-                spans_ok = False
-                witness = {"degree": dgr, "relation": print_poly(r)}
-                break
-        if not spans_ok:
-            break
+        spans.setdefault(r.degree, RowReducer()).insert(r.terms)
+    moved = next((r for r in spec.D.relations if not spans[r.degree].contains(dict(nu.apply(r).terms))), None)
+    cert.add(
+        "nakayama_preserves_relations",
+        moved is None,
+        None if moved is None else {"degree": moved.degree, "relation": print_poly(moved)},
+    )
 
     try:
-        lam = eigen_scale(nu, spec.omega)
-        fixes = True
+        lam = scalar_text(eigen_scale(nu, spec.omega))
     except NotEigenvectorError:
         lam = None
-        fixes = False
+    cert.add("nakayama_fixes_omega_line", lam is not None)
 
-    # tau conjugation: Omega x = tau(x) Omega holds in D
-    xs = [FreeElement.gen(ctx, i) for i in range(spec.n)]
-    tau_ok = all(
-        D.contains(spec.omega * xs[i] - (xs[i] * spec.omega).scale(spec.p[i].inv()))
-        for i in range(spec.n)
-    )
+    # tau conjugation: Omega x = tau(x) Omega holds in D.  For i != k,
+    # Omega x_i - p_i^{-1} x_i Omega is -p_i^{-1} times a relation of D
+    # (``spec.commutators``), so only the omitted index can fail
+    x = FreeElement.gen(ctx, spec.k)
+    cert.add("tau_conjugation", D.contains(spec.omega * x - (x * spec.omega).scale(spec.p[spec.k].inv())))
 
     # nu_A = tau^{-1} nu_D must scale x_i by q_i^{-1}; diagonal maps commute
     nu_a = tau.inverse().compose(nu)
     nu_a_ok = all(nu_a.scales[i] == q[i].inv() for i in range(spec.n))
-    commute_ok = nu.compose(tau) == tau.compose(nu)
+    cert.add("nakayama_tau_compatibility", nu_a_ok and nu.compose(tau) == tau.compose(nu))
 
-    data = {
-        "nakayama": [scalar_text(s) for s in nu.scales],
-        "tau": [scalar_text(s) for s in tau.scales],
-        "omega_eigenvalue": scalar_text(lam) if lam is not None else None,
-    }
-    checks = [
-        Check("nakayama_preserves_relations", spans_ok, witness=witness),
-        Check("nakayama_fixes_omega_line", fixes),
-        Check("tau_conjugation", tau_ok),
-        Check("nakayama_tau_compatibility", nu_a_ok and commute_ok),
-    ]
-    return data, checks
+    cert.nakayama = [scalar_text(s) for s in nu.scales]
+    cert.diagnostics.update(tau=[scalar_text(s) for s in tau.scales], nakayama_omega_eigenvalue=lam)
 
 
-def hdet_certificate(spec: ExtensionSpec) -> tuple[dict, list]:
+def hdet_certificate(cert: Certificate, spec: ExtensionSpec) -> None:
     """Factor breakdown lambda * hdet(tau|_A) * hdet(nu_A); product must be 1."""
     ctx = spec.ctx
     q = spec.sp.twist.scales
@@ -575,13 +548,12 @@ def hdet_certificate(spec: ExtensionSpec) -> tuple[dict, list]:
         f1 = eigen_scale(tau, spec.sp.w)
         f2 = eigen_scale(nu_a, spec.sp.w)
     except NotEigenvectorError as e:
-        return (
-            {"factors": None},
-            [Check("hdet_one", False, witness={"not_eigenvector": str(e)})],
-        )
+        cert.hdet = {"factors": None}
+        cert.add("hdet_one", False, {"not_eigenvector": str(e)})
+        return
     product = lam * f1 * f2
     expected = [lam == q[spec.k], f1 == q[spec.k].inv(), f2.is_one()]
-    data = {
+    cert.hdet = {
         "factors": {
             "omega_eigenvalue": scalar_text(lam),
             "hdet_tau_on_A": scalar_text(f1),
@@ -590,8 +562,7 @@ def hdet_certificate(spec: ExtensionSpec) -> tuple[dict, list]:
         "product": scalar_text(product),
         "factor_pattern_matches": all(expected),
     }
-    checks = [Check("hdet_one", product.is_one(), witness=None if product.is_one() else scalar_text(product))]
-    return data, checks
+    cert.add("hdet_one", product.is_one(), None if product.is_one() else scalar_text(product))
 
 
 # -- aggregation ----------------------------------------------------------------
@@ -604,54 +575,30 @@ def build_extension(sp: Superpotential, p, k: int, label: str = "") -> Extension
 def full_certificate(
     spec: ExtensionSpec, bound: int | None = None, engine: str = "gb"
 ) -> Certificate:
-    bound = default_bound(spec.m) if bound is None else bound
     cert = Certificate(
         algebra=spec.label,
         k=spec.k + 1,
         p=[scalar_text(c) for c in spec.p],
-        bound=bound,
+        bound=default_bound(spec.m) if bound is None else bound,
     )
     good = spec.goodness()
-    cert.add(
-        "good_tuple",
-        good.ok,
-        witness=None if good.ok else good.detail,
-    )
+    cert.add("good_tuple", good.ok, None if good.ok else good.detail)
 
     A = GradedQuotient(spec.A, engine)
     D = GradedQuotient(spec.D, engine)
-    hil, checks = verify_hilbert(spec, A, D, bound)
-    cert.tables.update(hil["tables"])
-    cert.diagnostics.update(hil["diagnostics"])
-    cert.checks.extend(checks)
-
-    om, checks = omega_certificate(spec, D, bound)
-    cert.diagnostics.update(om["diagnostics"])
-    cert.checks.extend(checks)
+    verify_hilbert(cert, spec, A, D)
+    omega_certificate(cert, spec, D)
 
     # dual-route z: annihilator dims must satisfy e_k = e_{k-m} + z_{k-m}
     z_e = cert.diagnostics["z_from_e"]
     z_k = cert.diagnostics["right_annihilator_dims"]
-    cert.add(
-        "annihilator_matches_hilbert_defect",
-        z_e[: len(z_k)] == z_k,
-        witness=None if z_e[: len(z_k)] == z_k else {"from_e": z_e, "kernels": z_k},
-    )
+    same = z_e[: len(z_k)] == z_k
+    cert.add("annihilator_matches_hilbert_defect", same, None if same else {"from_e": z_e, "kernels": z_k})
 
-    rc, checks = resolution_certificate(spec, D, bound)
-    cert.diagnostics.update(rc["diagnostics"])
-    cert.checks.extend(checks)
-
-    core_ok = cert.passed
-    if core_ok:
-        nk, checks = nakayama(spec, D)
-        cert.nakayama = nk["nakayama"]
-        cert.diagnostics["tau"] = nk["tau"]
-        cert.diagnostics["nakayama_omega_eigenvalue"] = nk["omega_eigenvalue"]
-        cert.checks.extend(checks)
-        hd, checks = hdet_certificate(spec)
-        cert.hdet = hd
-        cert.checks.extend(checks)
+    resolution_certificate(cert, spec, D)
+    if cert.passed:
+        nakayama(cert, spec, D)
+        hdet_certificate(cert, spec)
     else:
-        cert.add("nakayama_skipped_core_failed", False, witness="certificate core failed")
+        cert.add("nakayama_skipped_core_failed", False, "certificate core failed")
     return cert

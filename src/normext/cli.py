@@ -242,23 +242,21 @@ def load_corpus(dirpath: Path) -> list[CorpusEntry]:
     return entries
 
 
-def _parse_listed_tuple(text: str, conductor: int, params) -> SolutionFamily | list:
-    """A listed representative; 'l' denotes a free scalar in table rows."""
+def _parse_listed_tuple(text: str, conductor: int, params) -> SolutionFamily:
+    """A listed representative as a family; 'l' denotes a free scalar in
+    table rows, and a row without it is a family with no directions."""
     ext = tuple(params) + ("l",)
     units = [parse_unit(part, conductor, ext) for part in text.split(",")]
     n = len(units)
     lvec = [u.exps[-1] for u in units]
-    base = [UnitScalar(u.tor, u.exps[:-1]) for u in units]
-    if not any(lvec):
-        return base
     if any(v.denominator != 1 for v in lvec):
         raise DslError(f"free-symbol exponents must be integers in {text!r}")
     return SolutionFamily(
         params=tuple(params),
         n=n,
         k=0,
-        particular=tuple(base),
-        directions=(("l", tuple(int(v) for v in lvec)),),
+        particular=tuple(UnitScalar(u.tor, u.exps[:-1]) for u in units),
+        directions=(("l", tuple(int(v) for v in lvec)),) if any(lvec) else (),
         cosets=(tuple([Fraction(0)] * n),),
     )
 
@@ -279,13 +277,10 @@ def tables_report(corpus_dir: Path) -> tuple[dict, bool]:
             fams = solve_units(goodness_system(sp, k - 1), digest)
             listed = good.get(str(k), [])
             targets = [_parse_listed_tuple(rep, af.conductor, af.params) for rep in listed]
-            listed_families = sum(isinstance(t, SolutionFamily) for t in targets)
+            listed_families = sum(bool(t.directions) for t in targets)
             verdicts = []
             for rep, target in zip(listed, targets):
-                if isinstance(target, SolutionFamily):
-                    ok = any(f.contains_family(target) for f in fams)
-                else:
-                    ok = any(f.contains(target) for f in fams)
+                ok = any(f.contains_family(target) for f in fams)
                 verdicts.append({"listed": rep, "contained": ok})
                 if not ok:
                     all_ok = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .certify import ExtensionSpec, build_extension
+from .certify import build_extension
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement, gens, matmul
 from .linalg import RowReducer, same_span, solve

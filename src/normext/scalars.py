@@ -318,11 +318,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
-    def as_rational(self) -> Fraction | None:
-        if not any(self.num[1:]):
-            return Fraction(self.num[0], self.den)
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import field_instances, field_w, parse_tuple
 from normext.certify import (
     BuildError,
+    Certificate,
     EntryWalks,
     ResolutionDefect,
     ExtensionSpec,
@@ -64,6 +65,11 @@ def poly_spec(p=(1, 1, 1), k=0):
     return build_extension(SP_POLY, scal, k, label="D(poly)")
 
 
+def stage_cert(spec, bound=None):
+    """An empty certificate for spec, for one stage to write into."""
+    return Certificate(spec.label, spec.k + 1, [], bound)
+
+
 def test_build_extension_relations():
     spec = poly_spec()
     x, y, z = (FreeElement.gen(CTX, i) for i in range(3))
@@ -114,19 +120,21 @@ def test_lpwz_degree_four_relation():
 
 def test_hilbert_pass_and_tables():
     spec = poly_spec()
-    data, checks = verify_hilbert(spec, gb(spec.A), gb(spec.D), 8)
-    assert checks[0].passed
-    assert data["tables"]["D"] == [1, 3, 7, 13, 22, 34, 50, 70, 95]
-    assert data["tables"]["predicted_D"] == data["tables"]["D"]
-    assert data["diagnostics"]["e"] == [0] * 9
+    cert = stage_cert(spec, 8)
+    verify_hilbert(cert, spec, gb(spec.A), gb(spec.D))
+    assert cert.checks[0].passed
+    assert cert.tables["D"] == [1, 3, 7, 13, 22, 34, 50, 70, 95]
+    assert cert.tables["predicted_D"] == cert.tables["D"]
+    assert cert.diagnostics["e"] == [0] * 9
 
 
 def test_hilbert_failure_locates_defect():
     spec = poly_spec(p=(1, 2, 1))
-    data, checks = verify_hilbert(spec, gb(spec.A), gb(spec.D), 8)
-    assert not checks[0].passed
-    assert checks[0].witness == data["diagnostics"]["first_defect_degree"]
-    assert data["diagnostics"]["first_defect_degree"] is not None
+    cert = stage_cert(spec, 8)
+    verify_hilbert(cert, spec, gb(spec.A), gb(spec.D))
+    assert not cert.checks[0].passed
+    assert cert.checks[0].witness == cert.diagnostics["first_defect_degree"]
+    assert cert.diagnostics["first_defect_degree"] is not None
 
 
 def test_predicted_dims_convolution():
@@ -135,33 +143,37 @@ def test_predicted_dims_convolution():
 
 def test_omega_certificate_cy():
     spec = poly_spec()
-    data, checks = omega_certificate(spec, gb(spec.D), 8)
-    by_name = {c.name: c for c in checks}
+    cert = stage_cert(spec, 8)
+    omega_certificate(cert, spec, gb(spec.D))
+    by_name = {c.name: c for c in cert.checks}
     assert by_name["omega_normal"].passed and by_name["omega_regular"].passed
-    assert data["diagnostics"]["central"] is True
+    assert cert.diagnostics["central"] is True
 
 
 def test_omega_certificate_s2_normal_not_central():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    data, checks = omega_certificate(spec, gb(spec.D), 10)
-    by_name = {c.name: c for c in checks}
+    cert = stage_cert(spec, 10)
+    omega_certificate(cert, spec, gb(spec.D))
+    by_name = {c.name: c for c in cert.checks}
     assert by_name["omega_normal"].passed and by_name["omega_regular"].passed
-    assert data["diagnostics"]["central"] is False
+    assert cert.diagnostics["central"] is False
 
 
 def test_omega_bad_tuple_regularity_fails_where_z_positive():
     spec = poly_spec(p=(1, 2, 1))
-    data, checks = omega_certificate(spec, gb(spec.D), 8)
-    by_name = {c.name: c for c in checks}
+    cert = stage_cert(spec, 8)
+    omega_certificate(cert, spec, gb(spec.D))
+    by_name = {c.name: c for c in cert.checks}
     assert by_name["omega_normal"].passed  # normality needs no goodness
     assert not by_name["omega_regular"].passed
-    hil, _ = verify_hilbert(spec, gb(spec.A), gb(spec.D), 8)
-    z_from_e = hil["diagnostics"]["z_from_e"]
+    hil = stage_cert(spec, 8)
+    verify_hilbert(hil, spec, gb(spec.A), gb(spec.D))
+    z_from_e = hil.diagnostics["z_from_e"]
     first_z = next(k for k, v in enumerate(z_from_e) if v)
     assert by_name["omega_regular"].witness["first_right"] == first_z
-    assert data["diagnostics"]["right_annihilator_dims"] == z_from_e
+    assert cert.diagnostics["right_annihilator_dims"] == z_from_e
 
 
 def test_resolution_shapes_and_identities():
@@ -182,15 +194,17 @@ def test_resolution_shapes_and_identities():
 
 def test_resolution_certificate_cy():
     spec = poly_spec()
-    data, checks = resolution_certificate(spec, gb(spec.D), 8)
-    assert all(c.passed for c in checks)
-    assert data["diagnostics"]["euler_residuals"] == [0] * 9
+    cert = stage_cert(spec, 8)
+    resolution_certificate(cert, spec, gb(spec.D))
+    assert all(c.passed for c in cert.checks)
+    assert cert.diagnostics["euler_residuals"] == [0] * 9
 
 
 def test_resolution_certificate_bad_tuple():
     spec = poly_spec(p=(1, 2, 1))
-    _data, checks = resolution_certificate(spec, gb(spec.D), 6)
-    by_name = {c.name: c for c in checks}
+    cert = stage_cert(spec, 6)
+    resolution_certificate(cert, spec, gb(spec.D))
+    by_name = {c.name: c for c in cert.checks}
     assert not by_name["complex_property"].passed
     assert by_name["complex_property"].witness  # offending (i, j) pairs
 
@@ -198,8 +212,9 @@ def test_resolution_certificate_bad_tuple():
 def test_resolution_index_k_permutation():
     spec = build_extension(SP_POLY, (ONE, ONE, ONE), 2, label="k3")
     assert resolution_maps(spec)[0] == (2, 0, 1)
-    data, checks = resolution_certificate(spec, gb(spec.D), 6)
-    assert all(c.passed for c in checks)
+    cert = stage_cert(spec, 6)
+    resolution_certificate(cert, spec, gb(spec.D))
+    assert all(c.passed for c in cert.checks)
 
 
 def test_a_broken_resolution_identity_is_an_internal_defect(monkeypatch, capsys):
@@ -255,28 +270,45 @@ def test_a_tuple_is_good_exactly_when_the_complex_property_holds(corpus_entries,
 
 def test_nakayama_cy_identity():
     spec = poly_spec()
-    data, checks = nakayama(spec, gb(spec.D))
-    assert all(c.passed for c in checks)
-    assert data["nakayama"] == ["1", "1", "1"]
-    assert data["omega_eigenvalue"] == "1"
+    cert = stage_cert(spec)
+    nakayama(cert, spec, gb(spec.D))
+    assert all(c.passed for c in cert.checks)
+    assert cert.nakayama == ["1", "1", "1"]
+    assert cert.diagnostics["nakayama_omega_eigenvalue"] == "1"
+
+
+def test_nakayama_reports_a_tau_that_does_not_conjugate():
+    """D is built with p_1 = 1, so Omega x_1 = x_1 Omega in D; read with
+    p_1 = 2 afterwards, tau(x_1) = x_1 / 2 does not conjugate."""
+    spec = poly_spec()
+    cert = stage_cert(spec)
+    nakayama(cert, spec, gb(spec.D))
+    assert {c.name: c.passed for c in cert.checks}["tau_conjugation"]
+    spec.p = (Scalar.from_rational(2), *spec.p[1:])
+    cert = stage_cert(spec)
+    nakayama(cert, spec, gb(spec.D))
+    assert not {c.name: c.passed for c in cert.checks}["tau_conjugation"]
+    assert cert.diagnostics["tau"] == ["1/2", "1", "1"]
 
 
 def test_nakayama_s2_values():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    data, checks = nakayama(spec, gb(spec.D))
-    assert all(c.passed for c in checks)
+    cert = stage_cert(spec)
+    nakayama(cert, spec, gb(spec.D))
+    assert all(c.passed for c in cert.checks)
     # (p_i q_i)^{-1} with q = (4, -1/4), p = (4, 1/2)
-    assert data["nakayama"] == ["1/16", "-8"]
-    assert data["tau"] == ["1/4", "2"]
+    assert cert.nakayama == ["1/16", "-8"]
+    assert cert.diagnostics["tau"] == ["1/4", "2"]
 
 
 def test_hdet_factors():
     spec = poly_spec()
-    data, checks = hdet_certificate(spec)
-    assert checks[0].passed
-    assert data["factors"] == {
+    cert = stage_cert(spec)
+    hdet_certificate(cert, spec)
+    assert cert.checks[0].passed
+    assert cert.hdet["factors"] == {
         "omega_eigenvalue": "1",
         "hdet_tau_on_A": "1",
         "hdet_nakayama_of_A": "1",
@@ -284,11 +316,12 @@ def test_hdet_factors():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec2 = build_extension(sp, p, 0, label="s2")
-    data2, checks2 = hdet_certificate(spec2)
-    assert checks2[0].passed and data2["factor_pattern_matches"]
-    assert data2["factors"]["omega_eigenvalue"] == "4"
-    assert data2["factors"]["hdet_tau_on_A"] == "1/4"
-    assert data2["factors"]["hdet_nakayama_of_A"] == "1"
+    cert2 = stage_cert(spec2)
+    hdet_certificate(cert2, spec2)
+    assert cert2.checks[0].passed and cert2.hdet["factor_pattern_matches"]
+    assert cert2.hdet["factors"]["omega_eigenvalue"] == "4"
+    assert cert2.hdet["factors"]["hdet_tau_on_A"] == "1/4"
+    assert cert2.hdet["factors"]["hdet_nakayama_of_A"] == "1"
 
 
 def test_full_certificate_json_roundtrip():
@@ -315,10 +348,11 @@ def test_theorem_equivalence_three_routes():
     for p, expect in (((1, 1, 1), True), ((1, 2, 1), False), ((1, -1, -1), True)):
         spec = poly_spec(p=p)
         good = bool(spec.goodness())
-        _d, hchecks = verify_hilbert(spec, gb(spec.A), gb(spec.D), 8)
-        _d2, rchecks = resolution_certificate(spec, gb(spec.D), 8)
-        complex_ok = {c.name: c for c in rchecks}["complex_property"].passed
-        assert good == expect and hchecks[0].passed == expect and complex_ok == expect
+        hcert, rcert = stage_cert(spec, 8), stage_cert(spec, 8)
+        verify_hilbert(hcert, spec, gb(spec.A), gb(spec.D))
+        resolution_certificate(rcert, spec, gb(spec.D))
+        complex_ok = {c.name: c for c in rcert.checks}["complex_property"].passed
+        assert good == expect and hcert.checks[0].passed == expect and complex_ok == expect
 
 
 def corpus_specs(corpus_entries):
@@ -413,8 +447,9 @@ def test_the_letter_column_rank_is_the_augmentation_dimension(corpus_entries, en
         letters = [[FreeElement.gen(spec.ctx, i)] for i in range(n)]
         ranks = _graded_map_ranks(EntryWalks(D), letters, [1] * n)
         walked = [rank for _, rank in zip(range(bound + 1), ranks)]
-        data, _checks = resolution_certificate(spec, D, bound)
-        reported = [row["ranks"][3] for row in data["diagnostics"]["rank_profile"]]
+        cert = stage_cert(spec, bound)
+        resolution_certificate(cert, spec, D)
+        reported = [row["ranks"][3] for row in cert.diagnostics["rank_profile"]]
         augmentation = [dim - (1 if d == 0 else 0) for d, dim in enumerate(D.dims(bound))]
         assert walked == reported == augmentation, label
 

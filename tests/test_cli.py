@@ -200,6 +200,32 @@ def test_hilbert_tsv(capsys):
     assert out.splitlines()[1:] == ["0\t1", "1\t3", "2\t6", "3\t10", "4\t15"]
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", W_POLY, "--omit", "1"], "--p"),
+        (["zhang", W_POLY, "--omit", "1", "--p", "1,1,1"], "--sigma"),
+        (["solve-tuples", S2], "--omit"),
+    ],
+    ids=["verify-p", "zhang-sigma", "solve-tuples-omit"],
+)
+def test_a_missing_required_option_is_an_input_error(argv, option, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: missing required option {option}\n"
+
+
+def test_a_bound_below_m_plus_1_is_an_input_error(capsys):
+    assert run(["verify", W_POLY, "--omit", "1", "--p", "1,1,1", "--bound", "2"]) == 2
+    assert "too small" in capsys.readouterr().err
+
+
+def test_hilbert_with_a_tuple_prints_the_extension_table(capsys):
+    code, out = run_cli(capsys, "hilbert", W_POLY, "--omit", "1", "--p", "1,1,1")
+    blob = json.loads(out)
+    assert code == 0 and blob["label"] == "D(w_poly)" and blob["bound"] == 8
+    assert blob["dims"] == [1, 3, 7, 13, 22, 34, 50, 70, 95]
+
+
 def test_family_probe_default_points(capsys):
     code, out = run_cli(
         capsys, "family-probe", W_POLY, "--bound", "5", "--format", "tsv"

@@ -271,7 +271,6 @@ def test_kernel_inverse_and_text_match_reference(data):
     a = Scalar(n, ca)
     assert_canonical(a)
     assert str(a) == ref_str(ca)
-    assert a.as_rational() == (ca[0] if not any(ca[1:]) else None)
     if any(ca):
         inv = a.inv()
         assert_canonical(inv)

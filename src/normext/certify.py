@@ -25,8 +25,9 @@ One stage per item: ``verify_hilbert``, ``omega_certificate``,
 takes the ``Certificate`` being built, reads the degree bound from it,
 writes its own part of the report (``tables``, ``diagnostics``,
 ``nakayama``, ``hdet``) and adds its checks through ``Certificate.add`` in
-report order.  ``full_certificate`` only runs the stages: it adds the
-good-tuple check first, the dual-route z check between the omega and
+report order.  ``full_certificate`` only runs the stages: it refuses a
+bound below m+1 before any of them, adds the good-tuple check first, the
+dual-route z check between the omega and
 resolution stages, and runs the last two stages only if every check so
 far passed.
 
@@ -65,6 +66,12 @@ class ResolutionDefect(AssertionError):
 
 def default_bound(m: int) -> int:
     return 2 * m + 4
+
+
+def require_bound(spec: ExtensionSpec, bound: int) -> None:
+    """Omega has degree m, so a certificate needs degrees through m+1."""
+    if bound < spec.m + 1:
+        raise BuildError(f"bound {bound} too small; need at least m+1 = {spec.m + 1}")
 
 
 class ExtensionSpec:
@@ -253,8 +260,7 @@ def multiples_by_degree(quot: GradedQuotient, e: FreeElement, left: bool):
 
 def omega_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient) -> None:
     bound = cert.bound
-    if bound < spec.m + 1:
-        raise BuildError(f"bound {bound} too small; need at least m+1 = {spec.m + 1}")
+    require_bound(spec, bound)
     ctx = spec.ctx
     xs = [FreeElement.gen(ctx, i) for i in range(spec.n)]
     omega = spec.omega
@@ -581,6 +587,7 @@ def full_certificate(
         p=[scalar_text(c) for c in spec.p],
         bound=default_bound(spec.m) if bound is None else bound,
     )
+    require_bound(spec, cert.bound)
     good = spec.goodness()
     cert.add("good_tuple", good.ok, None if good.ok else good.detail)
 

@@ -20,6 +20,22 @@ completing at once: the reduced system truncated at degree d is unique
 (its leads are the minimal leading words of the ideal through degree d,
 and each tail is the normal form of its lead).
 
+Completion skips every ambiguity that a third lead covers.  Let
+W = l1.v = u.l2 be a popped ambiguity, and let a stored lead l3 occur in W
+at a position p with 0 < p < |u| and p + |l3| < |W|.  The leads are an
+antichain, so l3 lies inside neither l1 nor l2 and covers the overlap;
+(l1, l3) and (l3, l2) are then overlaps whose words are proper subwords of
+W, resolved at a lower degree, and W is resolvable relative to the words
+below it: condition (a') of Bergman's diamond lemma (Bergman 1978; the
+free-algebra chain criterion, Mora 1994).  Such a W is counted in
+``skipped`` and not reduced.  The antichain also makes the test short:
+any lead inside W without its first and last letters is such an l3 (one
+starting at |u| or later would lie inside l2).  Every lead shorter than W
+exists when W is popped, since the queue pops in degree order.  The queue
+holds the ambiguity alone; the S-polynomial tail(l1).v - u.tail(l2) is
+built from the current tails, word by word, only for an ambiguity that is
+reduced.
+
 The read side relies on both facts.  Beside each listed degree's normal
 words ``normal_words`` keeps them as a frozenset, and ``normal_form``
 lists every degree up to its element's top degree before it reduces, so a
@@ -41,7 +57,7 @@ import heapq
 from typing import TYPE_CHECKING
 
 from .freealg import FreeElement, word_key
-from .scalars import fms_kernel
+from .scalars import Scalar, fms_kernel
 
 if TYPE_CHECKING:
     from .quotient import Presentation
@@ -56,10 +72,12 @@ class GBState:
         self.bound = -1  # the degree completed so far
         self.rules: dict[tuple, FreeElement] = {}  # lead word -> tail element
         self.log: list[tuple] = []  # processed ambiguities (lead1, lead2, word)
+        self.skipped = 0  # ambiguities a third lead covers, left unreduced
         self._lengths: list[int] = []  # distinct lead lengths, ascending
         self._words: list[list[tuple]] = [[()]]  # normal words by degree
         self._normal: list[frozenset] = [frozenset(self._words[0])]  # the same, as sets
         self._counter = 0
+        self._one = Scalar.one(pres.ctx.conductor)
 
     # -- reduction ---------------------------------------------------------
 
@@ -146,33 +164,53 @@ class GBState:
         return lead, tail
 
     def _enqueue_overlaps(self, pairs, queue, low: int) -> None:
-        """Queue the S-polynomial of every overlap of l1 followed by l2, for
-        (l1, l2) in pairs, whose ambiguity word has degree in (low, bound]."""
-        ctx = self.pres.ctx
-        rules = self.rules
+        """Queue every overlap u.s.v of l1 = u.s followed by l2 = s.v, for
+        (l1, l2) in pairs, whose ambiguity word has degree in (low, bound].
+        Its S-polynomial is built only if it is processed."""
         for l1, l2 in pairs:
             for s_len in range(1, min(len(l1), len(l2))):
                 if l1[len(l1) - s_len :] != l2[:s_len]:
                     continue
-                u = l1[: len(l1) - s_len]
                 v = l2[s_len:]
                 word = l1 + v
-                if not low < len(word) <= self.bound:
-                    continue
-                # the two rewrites of the ambiguity word u.s.v must agree
-                spoly = rules[l1] * FreeElement.monomial(ctx, v) - FreeElement.monomial(ctx, u) * rules[l2]
-                heapq.heappush(queue, (len(word), self._tick(), (l1, l2, word), spoly))
+                if low < len(word) <= self.bound:
+                    amb = (l1, l2, word, l1[: len(l1) - s_len], v)
+                    heapq.heappush(queue, (len(word), self._tick(), amb, None))
 
     def _tick(self) -> int:
         self._counter += 1
         return self._counter
 
+    def _covered(self, word: tuple) -> bool:
+        """Whether a stored lead lies inside word without its first and last
+        letters: the chain criterion of the module docstring."""
+        return self._find_occurrence(word[1:-1]) is not None
+
+    def _s_polynomial(self, l1: tuple, l2: tuple, u: tuple, v: tuple) -> FreeElement:
+        """tail(l1).v - u.tail(l2): the two rewrites of u.l2 = l1.v must agree."""
+        fms = fms_kernel(self.pres.ctx.conductor)
+        terms = {w + v: c for w, c in self.rules[l1].terms.items()}
+        for w, c in self.rules[l2].terms.items():
+            uw = u + w
+            if uw in terms:
+                s = fms(terms[uw], self._one, c)
+                if s is None:
+                    del terms[uw]
+                else:
+                    terms[uw] = s
+            else:
+                terms[uw] = -c
+        spoly = FreeElement(self.pres.ctx)
+        spoly.terms = terms
+        return spoly
+
     def extend(self, d: int) -> None:
         """Complete through degree d, continuing from the degree completed.
 
-        The inputs skipped so far are exactly the relations of degree in
+        The inputs left out so far are exactly the relations of degree in
         (old, d] and the overlaps among stored leads whose ambiguity word
-        has degree in (old, d]; nothing above d is queued.
+        has degree in (old, d]; nothing above d is queued.  An ambiguity
+        that a third lead covers is counted in ``skipped`` and not reduced.
         """
         old = self.bound
         if d <= old:
@@ -185,9 +223,14 @@ class GBState:
         self._enqueue_overlaps([(a, b) for a in self.rules for b in self.rules], queue, old)
         while queue:
             _deg, _tick, amb, element = heapq.heappop(queue)
-            reduced = self._normal_form(element)
             if amb is not None:
-                self.log.append(amb)
+                l1, l2, word, u, v = amb
+                if self._covered(word):
+                    self.skipped += 1
+                    continue
+                self.log.append((l1, l2, word))
+                element = self._s_polynomial(l1, l2, u, v)
+            reduced = self._normal_form(element)
             if reduced.is_zero():
                 continue
             lead, tail = self._rule_from(reduced)

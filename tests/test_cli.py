@@ -9,6 +9,7 @@ import pytest
 import normext
 from normext import cli, quotient
 from normext.cli import default_corpus_path, run
+from normext.rewriting import GBState
 
 CORPUS = default_corpus_path()
 W_POLY = str(CORPUS / "w_poly.alg")
@@ -214,7 +215,14 @@ def test_a_missing_required_option_is_an_input_error(argv, option, capsys):
     assert capsys.readouterr().err == f"error: missing required option {option}\n"
 
 
-def test_a_bound_below_m_plus_1_is_an_input_error(capsys):
+def test_a_bound_below_m_plus_1_is_an_input_error(capsys, monkeypatch):
+    """The bound is refused before any stage completes A or D."""
+
+    def refuse(self, d):
+        raise RuntimeError("completion ran before the bound was checked")
+
+    monkeypatch.setattr(GBState, "extend", refuse)
+    monkeypatch.setattr(quotient.LinearEngine, "extend", refuse)
     assert run(["verify", W_POLY, "--omit", "1", "--p", "1,1,1", "--bound", "2"]) == 2
     assert "too small" in capsys.readouterr().err
 

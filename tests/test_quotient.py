@@ -209,6 +209,72 @@ def test_gb_state_is_deterministic():
     assert a.log == b.log
 
 
+class UncriticalGBState(GBState):
+    """Reference completion: it reduces every ambiguity, covered or not."""
+
+    def _covered(self, word):
+        return False
+
+
+def assert_same_completion(state, reference, bound, label):
+    assert state.rules == reference.rules, label
+    for d in range(bound + 1):
+        assert state.normal_words(d) == reference.normal_words(d), (label, d)
+
+
+def test_the_chain_criterion_keeps_every_corpus_completion(corpus_entries):
+    """The reduced truncated system is unique, so skipping the covered
+    ambiguities leaves the rules and normal words of the completion that
+    reduces them all, at 2m+2 and again after extending to 2m+4."""
+    for pres, bound in corpus_presentations(corpus_entries):
+        m = bound - 3
+        state, reference = GBState(pres), UncriticalGBState(pres)
+        for top in (2 * m + 2, 2 * m + 4):
+            state.extend(top)
+            reference.extend(top)
+            assert_same_completion(state, reference, top, (pres.label, top))
+
+
+@st.composite
+def small_presentations(draw):
+    """2-3 letters, 2-4 relations of degree 2 or 3 with nonzero coefficients in -3..3."""
+    n = draw(st.integers(2, 3))
+    ctx = Context(("x", "y", "z")[:n], 1)
+    relations = []
+    for _ in range(draw(st.integers(2, 4))):
+        degree = draw(st.sampled_from([2, 3]))
+        words = st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree).map(tuple)
+        terms = draw(st.dictionaries(words, st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=5))
+        relations.append(FreeElement(ctx, {w: Scalar(1, [c]) for w, c in terms.items()}))
+    return Presentation(ctx, relations, label="random")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_presentations())
+def test_the_chain_criterion_keeps_random_completions(pres):
+    state, reference = GBState(pres), UncriticalGBState(pres)
+    state.extend(6)
+    reference.extend(6)
+    assert_same_completion(state, reference, 6, pres.texts)
+
+
+def test_covered_ambiguities_are_counted_and_not_logged(corpus_entries):
+    """On cubic_a's D at k=2, p=(-1,1) and 2m+2 = 8 the criterion skips
+    ambiguities; the log keeps only the ones reduced."""
+    entry = corpus_entries["cubic_a"]
+    (k0, ptext, _assign, _label), = [
+        inst for inst in field_instances(entry) if inst[3] == "cubic_a:k=2:p=(-1,1)"
+    ]
+    sp = Superpotential(field_w(entry))
+    spec = build_extension(sp, parse_tuple(ptext, entry.algebra.conductor), k0)
+    state, reference = GBState(spec.D), UncriticalGBState(spec.D)
+    state.extend(2 * sp.m + 2)
+    reference.extend(2 * sp.m + 2)
+    assert reference.skipped == 0 and state.skipped > 0
+    assert len(state.log) < len(reference.log)
+    assert state.rules == reference.rules
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_word_codes_are_the_deglex_ranks(n):
     """Every word up to degree 4 in deglex order has the codes 0, 1, 2, ..."""

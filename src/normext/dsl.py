@@ -319,7 +319,8 @@ class AlgebraFile:
 
     def assignment(self, assign_text: str | None = None) -> Assignment | None:
         """The file's values and roots, overridden by ``assign_text``
-        ("a:=4,a^{1/2}:=2"); None when the algebra has no parameters."""
+        ("a:=4,a^{1/2}:=2"); None when the algebra has no parameters.  Any
+        assigned name that is not a parameter is an error."""
         values = dict(self.values)
         roots = dict(self.roots)
         if assign_text:
@@ -330,6 +331,9 @@ class AlgebraFile:
                     del roots[key]
             values.update(new_values)
             roots.update(new_roots)
+        for name in [*values, *(name for name, _q in roots)]:
+            if name not in self.params:
+                raise DslError(f"assignment for undeclared parameter {name!r}")
         if not self.params:
             return None
         missing = [p for p in self.params if p not in values]

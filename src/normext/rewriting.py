@@ -15,10 +15,15 @@ fixed degree and the queue is processed in (degree, insertion) order,
 making the computed system deterministic for a fixed input.  That order
 also keeps the leads an antichain: a new lead is a normal word no shorter
 than any stored lead, so no lead contains another and no inclusion
-ambiguity arises.  Completing in stages gives the same system as
-completing at once: the reduced system truncated at degree d is unique
-(its leads are the minimal leading words of the ideal through degree d,
-and each tail is the normal form of its lead).
+ambiguity arises.  The queue is one field of the state, and every input
+enters it once: the relations when the state is made, and the overlaps of
+a new lead with every stored lead and with itself when the lead is
+stored, whatever their degree.  ``extend(d)`` only pops while the head has
+degree <= d.  Completing in stages therefore pops the same queue in the
+same order as completing at once, and gives the same rules, ``log`` and
+``skipped``.  A queued overlap is (l1, l2, k), where l1 ends with the
+first k letters of l2; its word W = l1.v = u.l2 and the words u and v are
+sliced from the two leads when it is popped.
 
 Completion skips every ambiguity that a third lead covers.  Let
 W = l1.v = u.l2 be a popped ambiguity, and let a stored lead l3 occur in W
@@ -31,10 +36,9 @@ free-algebra chain criterion, Mora 1994).  Such a W is counted in
 ``skipped`` and not reduced.  The antichain also makes the test short:
 any lead inside W without its first and last letters is such an l3 (one
 starting at |u| or later would lie inside l2).  Every lead shorter than W
-exists when W is popped, since the queue pops in degree order.  The queue
-holds the ambiguity alone; the S-polynomial tail(l1).v - u.tail(l2) is
-built from the current tails, word by word, only for an ambiguity that is
-reduced.
+exists when W is popped, since the queue pops in degree order.  The
+S-polynomial tail(l1).v - u.tail(l2) is built from the current tails,
+word by word, only for an ambiguity that is reduced.
 
 The read side relies on both facts.  Beside each listed degree's normal
 words ``normal_words`` keeps them as a frozenset, and ``normal_form``
@@ -54,6 +58,7 @@ of the conductor's compiled ``fms``, fetched once per normal form.
 from __future__ import annotations
 
 import heapq
+from itertools import count
 from typing import TYPE_CHECKING
 
 from .freealg import FreeElement, word_key
@@ -76,8 +81,11 @@ class GBState:
         self._lengths: list[int] = []  # distinct lead lengths, ascending
         self._words: list[list[tuple]] = [[()]]  # normal words by degree
         self._normal: list[frozenset] = [frozenset(self._words[0])]  # the same, as sets
-        self._counter = 0
         self._one = Scalar.one(pres.ctx.conductor)
+        self._order = count()  # breaks degree ties by insertion order
+        # the completion queue: (degree, order, relation or (l1, l2, k))
+        self._queue = [(r.degree, next(self._order), r) for r in pres.relations]
+        heapq.heapify(self._queue)
 
     # -- reduction ---------------------------------------------------------
 
@@ -163,23 +171,15 @@ class GBState:
         tail.terms = {w: c * neg_inv for w, c in f.terms.items() if w != lead}
         return lead, tail
 
-    def _enqueue_overlaps(self, pairs, queue, low: int) -> None:
-        """Queue every overlap u.s.v of l1 = u.s followed by l2 = s.v, for
-        (l1, l2) in pairs, whose ambiguity word has degree in (low, bound].
-        Its S-polynomial is built only if it is processed."""
-        for l1, l2 in pairs:
-            for s_len in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - s_len :] != l2[:s_len]:
-                    continue
-                v = l2[s_len:]
-                word = l1 + v
-                if low < len(word) <= self.bound:
-                    amb = (l1, l2, word, l1[: len(l1) - s_len], v)
-                    heapq.heappush(queue, (len(word), self._tick(), amb, None))
-
-    def _tick(self) -> int:
-        self._counter += 1
-        return self._counter
+    def _enqueue_overlaps(self, lead: tuple) -> None:
+        """Queue (l1, l2, k) for every overlap u.s.v of l1 = u.s followed by
+        l2 = s.v, |s| = k, of the new lead with each stored lead, on both
+        sides, and with itself once, at the degree of its word."""
+        for other in self.rules:
+            for l1, l2 in ((lead, other), (other, lead)) if other != lead else ((lead, lead),):
+                for k in range(1, min(len(l1), len(l2))):
+                    if l1[len(l1) - k :] == l2[:k]:
+                        heapq.heappush(self._queue, (len(l1) + len(l2) - k, next(self._order), (l1, l2, k)))
 
     def _covered(self, word: tuple) -> bool:
         """Whether a stored lead lies inside word without its first and last
@@ -207,30 +207,23 @@ class GBState:
     def extend(self, d: int) -> None:
         """Complete through degree d, continuing from the degree completed.
 
-        The inputs left out so far are exactly the relations of degree in
-        (old, d] and the overlaps among stored leads whose ambiguity word
-        has degree in (old, d]; nothing above d is queued.  An ambiguity
-        that a third lead covers is counted in ``skipped`` and not reduced.
+        This pops the state's one queue while its head has degree <= d;
+        what lies above d stays queued for a later call.  An ambiguity that
+        a third lead covers is counted in ``skipped`` and not reduced.
         """
-        old = self.bound
-        if d <= old:
-            return
-        self.bound = d
-        queue: list = []
-        for r in self.pres.relations:
-            if old < r.degree <= d:
-                heapq.heappush(queue, (r.degree, self._tick(), None, r))
-        self._enqueue_overlaps([(a, b) for a in self.rules for b in self.rules], queue, old)
-        while queue:
-            _deg, _tick, amb, element = heapq.heappop(queue)
-            if amb is not None:
-                l1, l2, word, u, v = amb
+        queue = self._queue
+        while queue and queue[0][0] <= d:
+            _deg, _order, item = heapq.heappop(queue)
+            if isinstance(item, tuple):
+                l1, l2, k = item
+                u, v = l1[: len(l1) - k], l2[k:]
+                word = l1 + v
                 if self._covered(word):
                     self.skipped += 1
                     continue
                 self.log.append((l1, l2, word))
-                element = self._s_polynomial(l1, l2, u, v)
-            reduced = self._normal_form(element)
+                item = self._s_polynomial(l1, l2, u, v)
+            reduced = self._normal_form(item)
             if reduced.is_zero():
                 continue
             lead, tail = self._rule_from(reduced)
@@ -240,22 +233,13 @@ class GBState:
             # another, and at most one starts at any position.
             self.rules[lead] = tail
             self._lengths = sorted({len(other) for other in self.rules})
-            # re-normalize stored tails that the new lead makes reducible
-            for other, otail in list(self.rules.items()):
-                if other == lead:
-                    continue
-                hit = any(
-                    w[i : i + len(lead)] == lead
-                    for w in otail.terms
-                    for i in range(len(w) - len(lead) + 1)
-                )
-                if hit:
+            # A stored tail has its lead's degree, at most this lead's, so it
+            # can contain this lead only as one whole word.
+            for other, otail in self.rules.items():
+                if lead in otail.terms:
                     self.rules[other] = self._normal_form(otail)
-            # overlaps of the new lead with every lead, itself once
-            pairs = []
-            for other in self.rules:
-                pairs += [(lead, other), (other, lead)] if other != lead else [(lead, lead)]
-            self._enqueue_overlaps(pairs, queue, old)
+            self._enqueue_overlaps(lead)
+        self.bound = max(self.bound, d)
 
     # -- normal words ------------------------------------------------------------
 

@@ -272,6 +272,23 @@ def test_symbolic_commands_read_assign(verb, assign, capsys):
     assert run_cli(capsys, *argv, "--assign", "alpha:=-4") == run_cli(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", W_POLY, "--omit", "1", "--p", "1,1,1", "--bound", "5", "--assign", "a:=4"],
+        ["hilbert", W_POLY, "--bound", "4", "--assign", "a:=4"],
+        ["derive", W_POLY, "--assign", "a^{1/2}:=2"],
+        ["check-superpotential", W_POLY, "--assign", "a:=4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_assigning_a_name_the_algebra_lacks_is_an_input_error(argv, capsys):
+    """w_poly has no parameters, so it refuses any --assign name, as an
+    algebra with parameters refuses a name it does not declare."""
+    assert run(argv) == 2
+    assert "undeclared parameter 'a'" in capsys.readouterr().err
+
+
 def test_tables_command(capsys):
     code, out = run_cli(capsys, "tables", str(CORPUS))
     assert code == 0

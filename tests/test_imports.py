@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and the package
+uses each private name it defines."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,21 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path) == []
+
+
+def test_every_private_definition_is_used():
+    """Every ``_``-prefixed function, method or class of the package is read
+    by name somewhere in the package, besides its own definition; dunders
+    are exempt."""
+    defined, read = [], set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert [(module, name) for module, name in defined if name not in read] == []

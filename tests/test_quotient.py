@@ -187,8 +187,9 @@ def test_normal_form_above_the_completed_degree_is_exact(corpus_entries, monkeyp
 
 
 def test_staged_completion_equals_one_completion(corpus_entries):
-    """The truncated reduced system is unique, so extending degree by degree
-    gives the rules and normal words of one extension to the same degree."""
+    """Extending degree by degree pops the state's one queue in the order one
+    extension to the same degree pops it, so it gives the same rules, log,
+    skipped count and normal words."""
     for pres, bound in corpus_presentations(corpus_entries):
         top = bound + 1  # m + 4
         staged, once = GBState(pres), GBState(pres)
@@ -196,6 +197,8 @@ def test_staged_completion_equals_one_completion(corpus_entries):
             staged.extend(d)
         once.extend(top)
         assert staged.rules == once.rules, pres.label
+        assert staged.log == once.log, pres.label
+        assert staged.skipped == once.skipped, pres.label
         for d in range(top + 1):
             assert staged.normal_words(d) == once.normal_words(d), (pres.label, d)
 

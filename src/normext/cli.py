@@ -93,10 +93,13 @@ def _require(option, name: str):
 
 def _field_instance(args, need_omit: bool = True):
     """(af, sp, k, p): the file, its field superpotential, the 0-based --omit
-    and the --p tuple; k and p are None when --omit is optional and absent."""
+    and the --p tuple; k and p are None when --omit is optional and absent,
+    and --p without --omit is an input error."""
     af = parse_algebra_file(args.file)
     sp = _field_superpotential(af, args.assign)
     if args.omit is None and not need_omit:
+        if args.p is not None:
+            raise DslError("--p needs --omit")
         return af, sp, None, None
     k = _require(args.omit, "--omit") - 1
     return af, sp, k, _parse_field_tuple(_require(args.p, "--p"), sp.ctx)

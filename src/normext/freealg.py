@@ -268,10 +268,7 @@ class FreeElement:
     # -- structure maps ------------------------------------------------------
 
     def rescale_words(self, factor) -> "FreeElement":
-        """Multiply each word's coefficient by factor(word); drop zeros.
-
-        factor(word) may return None to signal an error upstream.
-        """
+        """Multiply each word's coefficient by factor(word); drop zeros."""
         out: dict = {}
         for w, c in self.terms.items():
             f = factor(w)

@@ -2,11 +2,12 @@
 
 A system has unknowns p_1..p_n, the pinned equation p_k = q_k, and one
 equation prod_t p_{j_t} = q_k per support monomial of w.  Additively this
-is an integer matrix acting on (Q/Z) + Q^params, solved exactly: the
-rational part by Gaussian elimination, the torsion part modulo 1 through
-an integer diagonalization.  Solutions come back as finitely many
-parametric families: a particular solution, free multiplicative
-directions carrying fresh symbols, and a finite set of torsion cosets.
+is an integer matrix acting on (Q/Z) + Q^params, solved exactly through one
+integer diagonalization of that matrix.  Solutions come back as finitely
+many parametric families: a particular solution, free multiplicative
+directions carrying fresh symbols, and a finite set of torsion cosets that
+are distinct by construction.  One Smith form of a family's directions
+decides every membership question about it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .dsl import print_poly
 from .freealg import AlgebraError, FreeElement
-from .linalg import RowReducer, diagonalize_integer_matrix
-from .scalars import Scalar, UnitScalar, unit_from_scalar
+from .linalg import diagonalize_integer_matrix
+from .scalars import UnitScalar, unit_from_scalar
 from .superpotential import (
     DiagonalMap,
     NotEigenvectorError,
@@ -73,29 +75,37 @@ def _unit_twist_scales(sp: Superpotential) -> list[UnitScalar]:
     return out
 
 
-def goodness_system(sp: Superpotential, k: int) -> ConstraintSystem:
-    """One equation per support monomial of w, plus p_k = q_k."""
+def _system(sp: Superpotential, k: int, monomials) -> ConstraintSystem:
+    """The row p_k = q_k, then one row prod p^counts = q_k per distinct
+    exponent vector of the (counts, label) pairs, under its first label."""
     n = sp.n
     if not 0 <= k < n:
         raise SolveError(f"omitted index {k + 1} out of range 1..{n}")
     q = _unit_twist_scales(sp)
-    nparams = len(q[k].exps)
-    rows = [(tuple(1 if i == k else 0 for i in range(n)), q[k])]
-    labels = [f"p_{k + 1} = q_{k + 1}"]
-    seen = {rows[0][0]}
-    for word in sp.w.support():
-        counts = [0] * n
-        for a in word:
-            counts[a] += 1
-        counts = tuple(counts)
-        if counts in seen:
-            continue
-        seen.add(counts)
-        rows.append((counts, q[k]))
-        labels.append("monomial " + "*".join(sp.ctx.gens[a] for a in word))
+    labels = {tuple(int(i == k) for i in range(n)): f"p_{k + 1} = q_{k + 1}"}
+    for counts, label in monomials:
+        labels.setdefault(counts, label)
     return ConstraintSystem(
-        nparams=nparams, params=sp.ctx.params, n=n, k=k, rows=tuple(rows), labels=tuple(labels)
+        nparams=len(q[k].exps),
+        params=sp.ctx.params,
+        n=n,
+        k=k,
+        rows=tuple((counts, q[k]) for counts in labels),
+        labels=tuple(labels.values()),
     )
+
+
+def _counts(n: int, word) -> tuple:
+    return tuple(word.count(a) for a in range(n))
+
+
+def goodness_system(sp: Superpotential, k: int) -> ConstraintSystem:
+    """One equation per support monomial of w, plus p_k = q_k."""
+    gens = sp.ctx.gens
+    monomials = [
+        (_counts(sp.n, u), "monomial " + "*".join(gens[a] for a in u)) for u in sp.w.support()
+    ]
+    return _system(sp, k, monomials)
 
 
 def matrix_goodness_system(sp: Superpotential, k: int) -> ConstraintSystem:
@@ -106,31 +116,14 @@ def matrix_goodness_system(sp: Superpotential, k: int) -> ConstraintSystem:
     goodness_system; the two must have identical deduplicated rows.
     """
     n = sp.n
-    q = _unit_twist_scales(sp)
-    nparams = len(q[k].exps)
     m = coefficient_matrix(sp.w)
-    rows = [(tuple(1 if i == k else 0 for i in range(n)), q[k])]
-    labels = [f"p_{k + 1} = q_{k + 1}"]
-    seen = {rows[0][0]}
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            for u in m[i][j].support():
-                counts = [0] * n
-                counts[i] += 1
-                counts[j] += 1
-                for a in u:
-                    counts[a] += 1
-                entries.append((tuple(counts), f"entry M[{i + 1}][{j + 1}]"))
-    for counts, lab in sorted(entries):
-        if counts in seen:
-            continue
-        seen.add(counts)
-        rows.append((counts, q[k]))
-        labels.append(lab)
-    return ConstraintSystem(
-        nparams=nparams, params=sp.ctx.params, n=n, k=k, rows=tuple(rows), labels=tuple(labels)
-    )
+    entries = [
+        (_counts(n, (i, j, *u)), f"entry M[{i + 1}][{j + 1}]")
+        for i in range(n)
+        for j in range(n)
+        for u in m[i][j].support()
+    ]
+    return _system(sp, k, sorted(entries))
 
 
 @dataclass
@@ -165,48 +158,42 @@ class SolutionFamily:
         names = tuple(self.params) + self.symbols
         return [u.text(names, conductor) for u in self.member_units(coset_index)]
 
-    def _torsion_reachable(self, delta) -> bool:
-        """Is delta (mod 1) of the form sum_d t_d * v_d with rational t?"""
-        if all(x % 1 == 0 for x in delta):
-            return True
-        if not self.directions:
-            return False
-        mat = [[vec[i] for _, vec in self.directions] for i in range(self.n)]
-        s, u, _v = diagonalize_integer_matrix(mat)
-        rank = sum(1 for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i])
-        udelta = [
-            sum(Fraction(u[i][j]) * delta[j] for j in range(self.n)) for i in range(self.n)
-        ]
-        return all(udelta[i] % 1 == 0 for i in range(rank, self.n))
+    @cached_property
+    def _smith(self) -> tuple:
+        """(U, rank) with U*D*V diagonal, for D the n x r matrix whose
+        columns are the directions."""
+        s, u, _v = diagonalize_integer_matrix(
+            [[vec[i] for _, vec in self.directions] for i in range(self.n)]
+        )
+        return u, sum(1 for i in range(min(self.n, len(self.directions))) if s[i][i])
+
+    def _span_residues(self, x) -> list:
+        """(U x)_i for i >= rank.  U is unimodular, so these are all zero
+        exactly when x is a rational combination of the directions, and all
+        integers exactly when x is one plus an integer vector."""
+        u, rank = self._smith
+        return [sum(c * xj for c, xj in zip(u[i], x)) for i in range(rank, self.n)]
 
     def contains(self, target) -> bool:
         """Is the concrete tuple (UnitScalars over params) in the family?"""
         if len(target) != self.n:
             return False
-        nparams = len(self.params)
-        dirs = [vec for _, vec in self.directions]
-        # rational exponents per parameter
-        for j in range(nparams):
-            rhs = [target[i].exps[j] - self.particular[i].exps[j] for i in range(self.n)]
-            if not _rational_span_contains(dirs, rhs):
+        pairs = list(zip(target, self.particular))
+        for j in range(len(self.params)):
+            if any(self._span_residues([t.exps[j] - p.exps[j] for t, p in pairs])):
                 return False
-        # torsion part, per coset
-        for coset in self.cosets:
-            delta = [
-                (target[i].tor - self.particular[i].tor - coset[i]) % 1 for i in range(self.n)
-            ]
-            if self._torsion_reachable(delta):
-                return True
-        return False
+        tor = [t.tor - p.tor for t, p in pairs]
+        return any(
+            all(r.denominator == 1 for r in self._span_residues([d - c for d, c in zip(tor, coset)]))
+            for coset in self.cosets
+        )
 
     def contains_family(self, other: "SolutionFamily") -> bool:
         """Does this family contain every member of the other one?"""
         if other.params != self.params or other.n != self.n:
             return False
-        self_dirs = [vec for _, vec in self.directions]
-        for _, vec in other.directions:
-            if not _rational_span_contains(self_dirs, vec):
-                return False
+        if any(any(self._span_residues(vec)) for _, vec in other.directions):
+            return False
         base = [UnitScalar(u.tor, u.exps[: len(self.params)]) for u in other.member_units(0)]
         return all(
             self.contains(
@@ -231,15 +218,6 @@ class SolutionFamily:
             "members": [self.entry_texts(ci, conductor) for ci in range(len(self.cosets))],
             "provenance": {"w_hash": self.w_hash, "k": self.k + 1},
         }
-
-
-def _rational_span_contains(vectors, target) -> bool:
-    """Is the rational vector target a rational combination of vectors?"""
-
-    def sparse(vec) -> dict:
-        return {i: Scalar.from_rational(x) for i, x in enumerate(vec) if x}
-
-    return RowReducer(map(sparse, vectors)).contains(sparse(target))
 
 
 def w_hash(w: FreeElement) -> str:
@@ -307,33 +285,25 @@ def solve_units(sys: ConstraintSystem, w_digest: str = "") -> list[SolutionFamil
     if total > COSET_CAP:
         raise SolveError(f"torsion multiplicity {total} exceeds cap {COSET_CAP}")
 
+    # The cosets are distinct modulo the directions plus Z^n.  If V*y and
+    # V*y' were congruent, V*(y - y') = V*t + z with t on the free slots and
+    # z integral; V is unimodular, so y - y' - t is integral, and on each
+    # coset slot (j - j')/s is an integer, which forces j = j'.
+    cosets = []
+    for choice in itertools.product(*[range(mod) for _, mod in coset_slots]):
+        y = [Fraction(0)] * n
+        for (slot, mod), j in zip(coset_slots, choice):
+            y[slot] = Fraction(j, mod)
+        cosets.append(tuple(vmul_tor(y)))
     family = SolutionFamily(
         params=sys.params,
         n=n,
         k=sys.k,
         particular=particular,
         directions=tuple(directions),
-        cosets=(tuple([Fraction(0)] * n),),
+        cosets=tuple(cosets),
         w_hash=w_digest,
     )
-    cosets = [tuple([Fraction(0)] * n)]
-    seen_cosets = [tuple([Fraction(0)] * n)]
-    for choice in itertools.product(*[range(mod) for _, mod in coset_slots]):
-        if not any(choice):
-            continue
-        y = [Fraction(0)] * n
-        for (slot, mod), j in zip(coset_slots, choice):
-            y[slot] = Fraction(j, mod)
-        cvec = vmul_tor(y)
-        if any(
-            family._torsion_reachable([(cvec[i] - prev[i]) % 1 for i in range(n)])
-            for prev in seen_cosets
-        ):
-            continue
-        seen_cosets.append(cvec)
-        cosets.append(tuple(cvec))
-    family.cosets = tuple(cosets)
-
     _validate_family(sys, family)
     return [family]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -234,6 +235,15 @@ def test_hilbert_with_a_tuple_prints_the_extension_table(capsys):
     assert blob["dims"] == [1, 3, 7, 13, 22, 34, 50, 70, 95]
 
 
+@pytest.mark.parametrize("p", ["1,2,3", "garbage"])
+def test_hilbert_refuses_a_tuple_without_an_omitted_index(p, capsys):
+    """``--p`` tables D only together with ``--omit``; alone it is refused,
+    not ignored in favour of A's table."""
+    assert run(["hilbert", W_POLY, "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --p needs --omit\n"
+
+
 def test_family_probe_default_points(capsys):
     code, out = run_cli(
         capsys, "family-probe", W_POLY, "--bound", "5", "--format", "tsv"
@@ -318,6 +328,40 @@ def test_tables_dotted_entry_reads_its_own_sidecar(tmp_path, capsys):
     assert code == 0
     tables = {r["entry"]: r["table"] for r in json.loads(out)["corpus"]}
     assert tables == {"x": "quadratic", "x.v2": "cubic"}
+
+
+def test_solver_reports_are_pinned(capsys):
+    """sha256 of stdout and the exit code of ``tables`` (json and tsv) and of
+    ``solve-tuples <entry> --omit k`` for every corpus entry and k = 1..3.
+    An omitted index past n is an input error with empty stdout."""
+    expected = {
+        "cubic_a 1": ("6c45663adad16a34e3c60fa1e88fad16a2afa552ee05d172a5cebf7017062bf5", 0),
+        "cubic_a 2": ("7bf8c14f7b4edd1bf374e20a327362f187d365d261808118510e2dfaeea20e46", 0),
+        "cubic_a 3": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+        "cubic_s2 1": ("a4cde66f601aa48f48721c83a05247abc18b43304782befa750debf24317dcef", 0),
+        "cubic_s2 2": ("3caa81019c491d8cf77082f7c57131d8238dbdba90c21dd7b67ea5027eedd395", 0),
+        "cubic_s2 3": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+        "skew 1": ("ee46f6343f908155a7ff3adc0200ee610e3d94a9747e711aaead0f26fee895c0", 0),
+        "skew 2": ("dbea72ae36cf4220cfaaa55c02d92fc670376847ea69d499961173c153ef708d", 0),
+        "skew 3": ("d58f1dc8fca7c04877755d9d37c4e90d7cffe7ecc80a62f582eec16c5997ae38", 0),
+        "sklyanin 1": ("67a311466d814bf0d73eb97cd0a254177be39fdc474ef3ca3c82727917a230c4", 0),
+        "sklyanin 2": ("70b8257fe8246861535abb4fdb16c389ba9a5b2bca827e35001f4fb007abbb63", 0),
+        "sklyanin 3": ("4198dddf26ff803cc981188172e5216596563a81786865a0199e114149012285", 0),
+        "w_poly 1": ("a183ae7e40367b2fdb7de01f0868e181b705233623680ecb0ed8dc71827a2480", 0),
+        "w_poly 2": ("a4e37fb842885e789a979584bbdb3da166d9dcf7e2612fa167c91bd38848186d", 0),
+        "w_poly 3": ("d45159bf48860fed836ecca1791596bebc28e0e02287e5d72414ed19d57226a4", 0),
+        "tables json": ("a192e5d11c5f1c9078e996122190c9cadf40930c5acb8e500ded45e1fd0283ad", 0),
+        "tables tsv": ("bcdef3eb689a5d66721d591457a22a362a759f7299d39353301b878f203a5175", 0),
+    }
+    runs = {"tables json": ["tables"], "tables tsv": ["tables", "--format", "tsv"]}
+    for alg in sorted(CORPUS.glob("*.alg")):
+        for k in (1, 2, 3):
+            runs[f"{alg.stem} {k}"] = ["solve-tuples", str(alg), "--omit", str(k)]
+    got = {}
+    for key, argv in runs.items():
+        code, out = run_cli(capsys, *argv)
+        got[key] = (hashlib.sha256(out.encode("utf-8")).hexdigest(), code)
+    assert got == expected
 
 
 def test_reports_are_deterministic(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import field_instances, field_w, parse_tuple
 from normext.certify import build_extension
 from normext.dsl import parse_poly, print_poly
 from normext.family import (
@@ -17,8 +18,9 @@ from normext.family import (
 )
 from normext.freealg import Context, FreeElement
 from normext.linalg import RowReducer
+from normext.quotient import hilbert_table
 from normext.scalars import Scalar, UnitScalar
-from normext.superpotential import DiagonalMap, Superpotential
+from normext.superpotential import DiagonalMap, Superpotential, eigen_scale
 
 CTX = Context(("x", "y", "z"), 1)
 W_POLY = parse_poly("x*y*z + y*z*x + z*x*y - x*z*y - z*y*x - y*x*z", CTX)
@@ -100,6 +102,40 @@ def test_zhang_twist_inverse_restores_spans():
     assert [print_poly(r) for r in back.relations] == [
         print_poly(r) for r in spec.D.relations
     ]
+
+
+# two diagonal maps per corpus entry, each scaling w
+W_SCALING_SIGMAS = {
+    "cubic_a": ("2,2", "3,-3"),
+    "cubic_s2": ("2,1", "2,3"),
+    "skew": ("2,1,1", "2,3,5"),
+    "sklyanin": ("2,2,2", "2,2*z,2*z^2"),
+    "w_poly": ("2,1,1", "2,3,5"),
+}
+
+
+def test_a_zhang_twist_keeps_the_hilbert_series(corpus_entries):
+    """Zhang 1996: twisting a graded algebra by a graded automorphism keeps
+    its Hilbert series.  A diagonal sigma that scales w scales each f_i and
+    each commutator with omega, so it is an automorphism of every D(w, p);
+    checked at 2m+2 under both engines for every instance and bad tuple."""
+    assert set(W_SCALING_SIGMAS) == set(corpus_entries)
+    compared = 0
+    for name, entry in sorted(corpus_entries.items()):
+        cases = field_instances(entry)
+        cases += [(int(k) - 1, t, None, "bad") for k, t in entry.expect["bad"].items()]
+        for k0, ptext, assign, _label in cases:
+            sp = Superpotential(field_w(entry, assign))
+            spec = build_extension(sp, parse_tuple(ptext, sp.ctx.conductor), k0)
+            bound = 2 * spec.m + 2
+            dims = hilbert_table(spec.D, bound, "both").dims
+            for text in W_SCALING_SIGMAS[name]:
+                sigma = DiagonalMap(sp.ctx, parse_tuple(text, sp.ctx.conductor))
+                eigen_scale(sigma, sp.w)  # raises unless sigma scales w
+                twisted = zhang_twist_presentation(spec.D, sigma)
+                assert hilbert_table(twisted, bound, "both").dims == dims, (name, ptext, text)
+                compared += 1
+    assert compared == 48
 
 
 def test_zhang_certificate_identity():

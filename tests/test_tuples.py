@@ -1,14 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from normext.cli import default_corpus_path, load_corpus
 from normext.dsl import parse_poly, parse_unit
 from normext.freealg import Context
-from normext.scalars import Assignment, Scalar, UnitScalar
+from normext.linalg import RowReducer, diagonalize_integer_matrix
+from normext.scalars import Assignment, Scalar, ScalarError, UnitScalar
 from normext.superpotential import DiagonalMap, Superpotential, eigen_scale
 from normext.tuples import (
+    ConstraintSystem,
+    SolutionFamily,
     SolveError,
+    _validate_family,
     goodness_system,
     is_good,
     matrix_goodness_system,
@@ -195,3 +203,137 @@ def test_solution_serialization_carries_provenance():
     assert blob["provenance"] == {"w_hash": digest, "k": 1}
     assert blob["particular"] == ["alpha", "alpha^{-1/2}"]
     assert len(blob["members"]) == 2
+
+
+# -- the span test against the two routines it replaced -------------------------
+
+
+def rational_span_reference(vectors, target) -> bool:
+    """Is target a rational combination of vectors?  Row reduction over Q."""
+
+    def sparse(vec) -> dict:
+        return {i: Scalar.from_rational(x) for i, x in enumerate(vec) if x}
+
+    return RowReducer(map(sparse, vectors)).contains(sparse(target))
+
+
+def torsion_reference(vectors, n, delta) -> bool:
+    """Is delta a rational combination of vectors plus an integer vector?
+    Diagonalizes the vectors afresh on every call."""
+    if all(x % 1 == 0 for x in delta):
+        return True
+    if not vectors:
+        return False
+    s, u, _v = diagonalize_integer_matrix([[vec[i] for vec in vectors] for i in range(n)])
+    rank = sum(1 for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i])
+    udelta = [sum(Fraction(u[i][j]) * delta[j] for j in range(n)) for i in range(n)]
+    return all(udelta[i] % 1 == 0 for i in range(rank, n))
+
+
+def family_with_directions(n, vectors, cosets=None) -> SolutionFamily:
+    return SolutionFamily(
+        params=(),
+        n=n,
+        k=0,
+        particular=tuple(UnitScalar.one(0) for _ in range(n)),
+        directions=tuple((f"l{d + 1}", tuple(vec)) for d, vec in enumerate(vectors)),
+        cosets=cosets or (tuple([Fraction(0)] * n),),
+    )
+
+
+@st.composite
+def directions_and_vector(draw):
+    """n <= 4 letters, r <= 3 integer directions with entries in -3..3, and
+    a rational vector that is a combination of them half the time."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    if draw(st.booleans()):
+        coeffs = [draw(small) for _ in vectors]
+        x = [sum((c * vec[i] for c, vec in zip(coeffs, vectors)), Fraction(0)) for i in range(n)]
+    else:
+        x = [draw(small) for _ in range(n)]
+    shift = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return n, vectors, x, shift
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(directions_and_vector())
+def test_span_residues_agree_with_both_replaced_routines(case):
+    """All residues zero is rational-span membership; all residues integral
+    is membership up to an integer vector, shifted or not."""
+    n, vectors, x, shift = case
+    fam = family_with_directions(n, vectors)
+    assert (not any(fam._span_residues(x))) == rational_span_reference(vectors, x)
+    for y in (x, [a + b for a, b in zip(x, shift)]):
+        integral = all(r.denominator == 1 for r in fam._span_residues(y))
+        assert integral == torsion_reference(vectors, n, y)
+
+
+# -- the solver's cosets are distinct without a deduplication pass --------------
+
+
+def assert_cosets_distinct(system, fam):
+    """No two cosets differ by a rational combination of the directions plus
+    an integer vector, and the family solves the system."""
+    _validate_family(system, fam)
+    vectors = [vec for _, vec in fam.directions]
+    for a, b in itertools.combinations(fam.cosets, 2):
+        assert not torsion_reference(vectors, fam.n, [x - y for x, y in zip(a, b)]), (a, b)
+
+
+def test_corpus_solutions_have_distinct_cosets():
+    for entry in load_corpus(default_corpus_path()):
+        sp = Superpotential(entry.algebra.w)
+        for k in range(sp.n):
+            system = goodness_system(sp, k)
+            for fam in solve_units(system):
+                assert_cosets_distinct(system, fam)
+
+
+def test_random_solutions_have_distinct_cosets():
+    """n <= 4 unknowns, at most 5 rows with counts 0..3, torsion right-hand
+    sides in (1/12)Z."""
+    rng = random.Random(20)
+    solved = both = 0
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        rows = tuple(
+            (tuple(rng.randint(0, 3) for _ in range(n)), UnitScalar(Fraction(rng.randrange(12), 12)))
+            for _ in range(rng.randint(1, 5))
+        )
+        system = ConstraintSystem(
+            nparams=0, params=(), n=n, k=0, rows=rows, labels=tuple("r" * len(rows))
+        )
+        try:
+            fams = solve_units(system)
+        except (SolveError, ScalarError):
+            continue
+        for fam in fams:
+            assert_cosets_distinct(system, fam)
+            solved += 1
+            both += bool(fam.directions) and len(fam.cosets) > 1
+    assert solved >= 200 and both >= 10, (solved, both)
+
+
+def test_containment_sees_every_coset_and_direction():
+    """A family with two cosets and a direction contains its own members
+    and shifts along the direction, and nothing off them."""
+    fam = family_with_directions(
+        2, [(1, 1)], (tuple([Fraction(0)] * 2), (Fraction(1, 2), Fraction(0)))
+    )
+    assert fam.contains([UnitScalar(Fraction(1, 2)), UnitScalar(0)])
+    assert fam.contains([UnitScalar(Fraction(1, 3)), UnitScalar(Fraction(1, 3))])
+    assert fam.contains([UnitScalar(Fraction(5, 6)), UnitScalar(Fraction(1, 3))])
+    assert not fam.contains([UnitScalar(Fraction(1, 4)), UnitScalar(0)])
+    narrow = family_with_directions(2, [])
+    assert fam.contains_family(narrow) and not narrow.contains_family(fam)
+
+
+def test_matrix_system_refuses_an_omitted_index_out_of_range():
+    for k in (-1, SP_POLY.n):
+        with pytest.raises(SolveError):
+            matrix_goodness_system(SP_POLY, k)
+        with pytest.raises(SolveError):
+            goodness_system(SP_POLY, k)

@@ -9,7 +9,14 @@ desk-checkable to a degree bound:
 * the Hilbert identity h_D * (1 - t^m) = h_A, with defect e_k and
   annihilator z_k diagnostics,
 * normality/centrality memberships for the distinguished element and the
-  vanishing of both multiplication kernels,
+  vanishing of both multiplication kernels.  One walk serves both sides.
+  Let tau be the diagonal automorphism x_i -> p_i x_i of the free algebra.
+  If x_i Omega = p_i Omega x_i in D for every i (a relation of D for
+  i != k, the ``omega_normal`` check for i = k), then u Omega = Omega tau(u)
+  in D for every word u, by induction on its length.  So in V^{(x)d}
+  ker(u -> u Omega) = tau^{-1} ker(v -> Omega v); both kernels contain
+  I_d, so their dimensions on D_d are equal.  If ``omega_normal`` fails,
+  the left annihilator is not derived and ``omega_regular`` fails,
 * the candidate resolution: the identities x^t M_l = g_l^t and M_r x = g_r,
   the complex property M_l M_r = 0 in D (each product a ``freealg.matmul``),
   Euler residuals, and degree-wise rank exactness.  D is generated in
@@ -225,17 +232,16 @@ def verify_hilbert(cert: Certificate, spec: ExtensionSpec, A: GradedQuotient, D:
 # -- normal forms of multiples, degree by degree ------------------------------
 
 
-def multiples_by_degree(quot: GradedQuotient, e: FreeElement, left: bool):
-    """Yield {u: NF(u*e)} (left) or {u: NF(e*u)} (right) over the normal
-    words u of ``quot``, for degrees d = 0, 1, 2, ...
+def multiples_by_degree(quot: GradedQuotient, e: FreeElement):
+    """Yield {u: NF(u*e)} over the normal words u of ``quot``, for degrees
+    d = 0, 1, 2, ...
 
     Degree d is built from degree d-1 alone.  A suffix of a normal word is
     normal, so u = x_a*u' with u' = u[1:] a normal word of degree d-1, and
     u*e = x_a*(u'*e) is congruent to x_a*NF(u'*e) modulo the ideal.  A class
     has one normal form (Bergman's diamond lemma), so
-    NF(u*e) = NF(x_a*NF(u'*e)).  On the right, u = u'*x_a with u' = u[:-1]
-    a prefix, and NF(e*u) = NF(NF(e*u')*x_a).  Every answer is still a
-    ``quot.normal_form`` call, so under ``both`` the engines compare each one.
+    NF(u*e) = NF(x_a*NF(u'*e)).  Every answer is still a ``quot.normal_form``
+    call, so under ``both`` the engines compare each one.
     """
     ctx = quot.pres.ctx
     nfs = {(): quot.normal_form(e)}
@@ -246,12 +252,8 @@ def multiples_by_degree(quot: GradedQuotient, e: FreeElement, left: bool):
         below, nfs = nfs, {}
         for u in quot.normal_words(d):
             f = FreeElement(ctx)
-            if left:
-                a = u[:1]
-                f.terms = {a + w: c for w, c in below[u[1:]].terms.items()}
-            else:
-                a = u[-1:]
-                f.terms = {w + a: c for w, c in below[u[:-1]].terms.items()}
+            a = u[:1]
+            f.terms = {a + w: c for w, c in below[u[1:]].terms.items()}
             nfs[u] = quot.normal_form(f)
 
 
@@ -273,28 +275,21 @@ def omega_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient)
 
     central = all(D.contains(xs[i] * omega - omega * xs[i]) for i in range(spec.n))
 
-    def kernel_dims(left: bool) -> list[int]:
-        """dim ker of u -> u*Omega (left) or u -> Omega*u, degree by degree."""
-        ranks = _graded_map_ranks(EntryWalks(D, left), [[omega]], [0])
-        return [dim - rank for dim, rank in zip(D.dims(bound - spec.m), ranks)]
+    # dim ker of u -> u*Omega, degree by degree; a normal Omega has the same
+    # kernel dims on the other side (see the module docstring)
+    ranks = _graded_map_ranks(EntryWalks(D), [[omega]], [0])
+    right_kernels = [dim - rank for dim, rank in zip(D.dims(bound - spec.m), ranks)]
+    left_kernels = right_kernels if normal_ok else None
 
-    right_kernels = kernel_dims(left=True)
-    left_kernels = kernel_dims(left=False)
-
-    regular = not any(right_kernels) and not any(left_kernels)
     cert.diagnostics.update(
         right_annihilator_dims=right_kernels, left_annihilator_dims=left_kernels, central=central
     )
-    cert.add(
-        "omega_regular",
-        regular,
-        None
-        if regular
-        else {
-            "first_right": next((d for d, v in enumerate(right_kernels) if v), None),
-            "first_left": next((d for d, v in enumerate(left_kernels) if v), None),
-        },
-    )
+    if left_kernels is None:
+        cert.add("omega_regular", False, "omega not normal: left annihilator not derived")
+        return
+    first = next((d for d, v in enumerate(right_kernels) if v), None)
+    witness = None if first is None else {"first_right": first, "first_left": first}
+    cert.add("omega_regular", first is None, witness)
 
 
 # -- candidate resolution -------------------------------------------------------
@@ -347,20 +342,18 @@ def resolution_maps(spec: ExtensionSpec) -> tuple[tuple, list]:
 
 
 class EntryWalks:
-    """``multiples_by_degree`` walks on one side, one per map entry up to a
-    nonzero scalar: an entry c*e', with e' monic at its deglex lead, reads
-    e''s walk, since NF(u*c*e') = c*NF(u*e') (and on the right,
-    NF(c*e'*u) = c*NF(e'*u)).  The resolution's maps share each M[a][b]
-    (M_l and M_r) and multiples of letters, each map at its own fixed lag,
-    so a walk's degree is made on its first read and dropped after its
-    last.  These are the walks the entries would make on their own, each
-    made once, and every step is still a ``quot.normal_form`` call.  The
-    store also numbers the normal words of each degree once for every map
-    it serves."""
+    """``multiples_by_degree`` walks, one per map entry up to a nonzero
+    scalar: an entry c*e', with e' monic at its deglex lead, reads e''s
+    walk, since NF(u*c*e') = c*NF(u*e').  The resolution's maps share each
+    M[a][b] (M_l and M_r) and multiples of letters, each map at its own
+    fixed lag, so a walk's degree is made on its first read and dropped
+    after its last.  These are the walks the entries would make on their
+    own, each made once, and every step is still a ``quot.normal_form``
+    call.  The store also numbers the normal words of each degree once for
+    every map it serves."""
 
-    def __init__(self, quot: GradedQuotient, left: bool = True) -> None:
+    def __init__(self, quot: GradedQuotient) -> None:
         self.quot = quot
-        self.left = left
         self._walks: list = []  # [e', its walk, readers, {degree: [nfs, reads left]}]
         self._positions: dict[int, dict] = {}  # degree -> {normal word: its position}
 
@@ -372,15 +365,14 @@ class EntryWalks:
 
     def reader(self, ent: FreeElement):
         """(scale, degrees) for the nonzero entry c*e': degrees yields
-        {u: NF(u*e')} (or {u: NF(e'*u)} on the right) for d = 0, 1, 2, ...,
-        and scale maps its coefficients to the entry's (None for c = 1, a
-        negation for c = -1).  A walk's readers must all be made before it
-        is read."""
+        {u: NF(u*e')} for d = 0, 1, 2, ..., and scale maps its coefficients
+        to the entry's (None for c = 1, a negation for c = -1).  A walk's
+        readers must all be made before it is read."""
         c = ent.terms[max(ent.terms)]  # one degree: tuple order is deglex
         monic = ent if c.is_one() else ent.scale(c.inv())
         walk = next((w for w in self._walks if w[0] == monic), None)
         if walk is None:
-            walk = [monic, multiples_by_degree(self.quot, monic, self.left), 0, {}]
+            walk = [monic, multiples_by_degree(self.quot, monic), 0, {}]
             self._walks.append(walk)
         walk[2] += 1
         scale = None if c.is_one() else neg if (-c).is_one() else c.__mul__
@@ -403,11 +395,10 @@ class EntryWalks:
 
 def _graded_map_ranks(walks: EntryWalks, entries, shifts_src):
     """Yield the rank of the degree-deg block of the map
-    u*e_s -> sum_t u*entries[s][t]*e_t (entries[s][t]*u when ``walks`` is a
-    right-side store), for deg = 0, 1, 2, ...  Each nonzero entry reads
-    its walk from ``walks`` once per degree, from the degree its source
-    shift reaches 0; its readers are made here, before the first rank is
-    asked for.
+    u*e_s -> sum_t u*entries[s][t]*e_t, for deg = 0, 1, 2, ...  Each
+    nonzero entry reads its walk from ``walks`` once per degree, from the
+    degree its source shift reaches 0; its readers are made here, before the
+    first rank is asked for.
 
     The image of u*e_s is a row over the columns i * width + t for the i-th
     normal word of target block t, where width is the number of target

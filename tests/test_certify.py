@@ -176,6 +176,29 @@ def test_omega_bad_tuple_regularity_fails_where_z_positive():
     assert cert.diagnostics["right_annihilator_dims"] == z_from_e
 
 
+def test_a_non_normal_omega_fails_regularity_without_a_left_annihilator():
+    """D is built with p_1 = q_1 = 1; read with p_1 = 2 afterwards,
+    x*Omega - 2*Omega*x is not in D's ideal.  The left annihilator's dims
+    then follow from no normality, so none are reported and regularity
+    fails, on its own stage and in the full certificate."""
+    spec = poly_spec()
+    built = spec.goodness()  # is_good refuses p_1 != q_1
+    spec.goodness = lambda: built
+    spec.p = (Scalar.from_rational(2), *spec.p[1:])
+    cert = stage_cert(spec, 6)
+    omega_certificate(cert, spec, gb(spec.D))
+    by_name = {c.name: c for c in cert.checks}
+    assert not by_name["omega_normal"].passed and by_name["omega_normal"].witness == "x"
+    assert cert.diagnostics["left_annihilator_dims"] is None
+    assert cert.diagnostics["right_annihilator_dims"] == [0] * 5
+    assert not by_name["omega_regular"].passed
+    assert by_name["omega_regular"].witness == "omega not normal: left annihilator not derived"
+    blob = json.loads(full_certificate(spec, bound=6).dumps())
+    checks = {c["name"]: c for c in blob["checks"]}
+    assert blob["pass"] is False and blob["diagnostics"]["left_annihilator_dims"] is None
+    assert checks["omega_regular"] == by_name["omega_regular"].to_json()
+
+
 def test_resolution_shapes_and_identities():
     # n = 2: both blocks are 2x2
     sp = s2_superpotential()
@@ -245,7 +268,8 @@ def test_a_tuple_is_good_exactly_when_the_complex_property_holds(corpus_entries,
     """On skew and cubic_a at random parameter values, with p_k = q_k and
     the other entries random (for skew, half the draws completed to
     p_1 p_2 p_3 = q_k): every entry of M_l M_r lies in D's ideal exactly
-    when the tuple is good."""
+    when the tuple is good, and x_k*Omega = q_k*Omega*x_k in D for every
+    draw, so the certificate always derives the left annihilator."""
     name = data.draw(st.sampled_from(["skew", "cubic_a"]))
     af = corpus_entries[name].algebra
     values = data.draw(st.lists(st.sampled_from(PARAMETER_VALUES), min_size=3, max_size=3))
@@ -266,6 +290,9 @@ def test_a_tuple_is_good_exactly_when_the_complex_property_holds(corpus_entries,
     D = GradedQuotient(spec.D, "both")
     complex_ok = all(D.contains(ent) for row in matmul(Ml, Mr) for ent in row)
     assert bool(is_good(sp, k, p)) == complex_ok
+    # Omega is normal by construction, good tuple or not
+    x = FreeElement.gen(spec.ctx, k)
+    assert D.contains(x * spec.omega - spec.omega.scale(sp.twist.scales[k]) * x)
 
 
 def test_nakayama_cy_identity():
@@ -372,9 +399,9 @@ def corpus_specs(corpus_entries):
 
 @pytest.mark.parametrize("engine", ["la", "gb", "both"])
 def test_normal_forms_from_the_degree_below_equal_direct_ones(corpus_entries, engine):
-    """Each degree's dict equals NF(u*e) or NF(e*u) built from u directly, for
-    Omega on both sides and every nonzero entry of M_l and M_r, to the degree
-    the certificate at 2m+2 walks it."""
+    """Each degree's dict equals NF(u*e) built from u directly, for Omega and
+    every nonzero entry of M_l and M_r, to the degree the certificate at
+    2m+2 walks it."""
     specs = corpus_specs(corpus_entries)
     assert len(specs) == 24
     for label, spec in specs:
@@ -382,18 +409,58 @@ def test_normal_forms_from_the_degree_below_equal_direct_ones(corpus_entries, en
         bound = 2 * m + 2
         D = GradedQuotient(spec.D, engine)
         _, (_, (Ml, _), (Mr, _)) = resolution_maps(spec)
-        cases = [(spec.omega, True, bound - m), (spec.omega, False, bound - m)]
-        cases += [(e, True, bound - 2 * m) for row in Ml for e in row if not e.is_zero()]
+        cases = [(spec.omega, bound - m)]
+        cases += [(e, bound - 2 * m) for row in Ml for e in row if not e.is_zero()]
         shifts_p2 = [m] * (n - 1) + [m + 1] * (n - 1)
-        cases += [(e, True, bound - a) for row, a in zip(Mr, shifts_p2) for e in row if not e.is_zero()]
-        for e, left, top in cases:
-            for d, nfs in zip(range(top + 1), multiples_by_degree(D, e, left)):
+        cases += [(e, bound - a) for row, a in zip(Mr, shifts_p2) for e in row if not e.is_zero()]
+        for e, top in cases:
+            for d, nfs in zip(range(top + 1), multiples_by_degree(D, e)):
                 words = D.normal_words(d)
                 assert list(nfs) == words, (label, d)
                 for u in words:
-                    mono = FreeElement.monomial(spec.ctx, u)
-                    direct = D.normal_form(mono * e if left else e * mono)
-                    assert nfs[u].terms == direct.terms, (label, engine, left, u)
+                    direct = D.normal_form(FreeElement.monomial(spec.ctx, u) * e)
+                    assert nfs[u].terms == direct.terms, (label, engine, u)
+
+
+def right_multiples_by_degree(quot, e):
+    """Yield {u: NF(e*u)} over the normal words u of ``quot``, for degrees
+    d = 0, 1, 2, ...: the reference walk on the other side of
+    ``multiples_by_degree``.  A prefix of a normal word is normal, so
+    u = u'*x_a with u' = u[:-1] of degree d-1, and NF(e*u) = NF(NF(e*u')*x_a)."""
+    nfs = {(): quot.normal_form(e)}
+    d = 0
+    while True:
+        yield nfs
+        d += 1
+        below, nfs = nfs, {}
+        for u in quot.normal_words(d):
+            f = FreeElement(e.ctx, {w + u[-1:]: c for w, c in below[u[:-1]].terms.items()})
+            nfs[u] = quot.normal_form(f)
+
+
+@pytest.mark.parametrize("engine", ["la", "gb", "both"])
+def test_the_reported_left_annihilator_is_the_right_walks_kernel(corpus_entries, engine):
+    """Omega is normal in every corpus D, so the certificate derives the
+    dims of ker(v -> Omega*v) instead of walking that side.  The reference
+    walk's dicts equal NF(Omega*u) built from u directly, and its kernel,
+    ranked degree by degree, has the reported dims, to the degree the
+    certificate at 2m+2 reports."""
+    for label, spec in corpus_specs(corpus_entries):
+        m = spec.m
+        D = GradedQuotient(spec.D, engine)
+        cert = stage_cert(spec, 2 * m + 2)
+        omega_certificate(cert, spec, D)
+        walked = []
+        for d, nfs in zip(range(m + 3), right_multiples_by_degree(D, spec.omega)):
+            assert list(nfs) == D.normal_words(d), (label, d)
+            pos = {w: i for i, w in enumerate(D.normal_words(d + m))}
+            red = RowReducer()
+            for u, nf in nfs.items():
+                direct = D.normal_form(spec.omega * FreeElement.monomial(spec.ctx, u))
+                assert nf.terms == direct.terms, (label, engine, u)
+                red.insert({pos[w]: c for w, c in nf.terms.items()})
+            walked.append(len(nfs) - red.rank)
+        assert cert.diagnostics["left_annihilator_dims"] == walked, (label, engine)
 
 
 def exact_terms(terms):
@@ -405,7 +472,7 @@ def test_shared_walks_give_each_entry_its_own_rows(corpus_entries, engine):
     """Read in the certificate's order, the walk an entry of the letter row,
     M_l or M_r shares with the entries equal to it up to a scalar gives,
     degree by degree, the dicts of its own walk, to the degree the
-    certificate at 2m+2 reads; and so does a right-side walk of Omega."""
+    certificate at 2m+2 reads."""
     for label, spec in corpus_specs(corpus_entries):
         bound = 2 * spec.m + 2
         D = GradedQuotient(spec.D, engine)
@@ -415,14 +482,8 @@ def test_shared_walks_give_each_entry_its_own_rows(corpus_entries, engine):
             for row, a in zip(entries, shifts):
                 for ent in row:
                     if not ent.is_zero():
-                        readers.append((a, bound, *walks.reader(ent), multiples_by_degree(D, ent, True)))
+                        readers.append((a, bound, *walks.reader(ent), multiples_by_degree(D, ent)))
         assert len(walks._walks) < len(readers), label
-        # a right-side store on Omega, read as far as omega_certificate reads
-        # it: Omega and -Omega share one walk of NF(Omega*u)
-        right = EntryWalks(D, left=False)
-        for ent in (spec.omega, -spec.omega):
-            readers.append((0, bound - spec.m, *right.reader(ent), multiples_by_degree(D, ent, False)))
-        assert len(right._walks) == 1, label
         for deg in range(bound + 1):
             for first, last, scale, shared, own in readers:
                 if not first <= deg <= last:

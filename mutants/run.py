@@ -69,8 +69,8 @@ MUTANTS = [
     # a rank routine that drops source block 0
     Mutant(
         "certify.py",
-        "for s, a_s in enumerate(shifts_src):",
-        "for s, a_s in list(enumerate(shifts_src))[1:]:",
+        "for own, a_s in zip(rows, shifts_src):",
+        "for own, a_s in list(zip(rows, shifts_src))[1:]:",
         (C + "test_the_letter_column_rank_is_the_augmentation_dimension[gb]",),
     ),
     # a sorted Nakayama list
@@ -99,14 +99,14 @@ MUTANTS = [
         "certify.py",
         "scale = None if c.is_one() else neg if (-c).is_one() else c.__mul__",
         "scale = None if c.is_one() else (lambda v: v) if (-c).is_one() else c.__mul__",
-        (C + "test_shared_walks_give_each_entry_its_own_rows[gb]",),
+        (C + "test_shared_walks_rank_as_each_entry_walking_its_own[gb]",),
     ),
-    # a shared walk's degree dropped one read early
+    # every reader of a shared walk advancing one and the same iterator
     Mutant(
         "certify.py",
-        "kept[d] = [next(steps), walk[2]]",
-        "kept[d] = [next(steps), walk[2] - 1]",
-        (C + "test_shared_walks_give_each_entry_its_own_rows[gb]",),
+        "tee(multiples_by_degree(quot, monic), len(own))",
+        "[multiples_by_degree(quot, monic)] * len(own)",
+        (C + "test_shared_walks_rank_as_each_entry_walking_its_own[gb]",),
     ),
     # the resolution's identity checks dropped, one at a time
     Mutant(

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import count
+from functools import cache
+from itertools import count, tee
 from operator import neg
 
 from .dsl import print_poly, scalar_text
@@ -241,7 +242,8 @@ def multiples_by_degree(quot: GradedQuotient, e: FreeElement):
     u*e = x_a*(u'*e) is congruent to x_a*NF(u'*e) modulo the ideal.  A class
     has one normal form (Bergman's diamond lemma), so
     NF(u*e) = NF(x_a*NF(u'*e)).  Every answer is still a ``quot.normal_form``
-    call, so under ``both`` the engines compare each one.
+    call, so under ``both`` the engines compare each one.  Entries that
+    share a walk read it through ``itertools.tee`` (``_graded_map_ranks``).
     """
     ctx = quot.pres.ctx
     nfs = {(): quot.normal_form(e)}
@@ -277,7 +279,7 @@ def omega_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient)
 
     # dim ker of u -> u*Omega, degree by degree; a normal Omega has the same
     # kernel dims on the other side (see the module docstring)
-    ranks = _graded_map_ranks(EntryWalks(D), [[omega]], [0])
+    (ranks,) = _graded_map_ranks(D, [([[omega]], [0])])
     right_kernels = [dim - rank for dim, rank in zip(D.dims(bound - spec.m), ranks)]
     left_kernels = right_kernels if normal_ok else None
 
@@ -341,96 +343,76 @@ def resolution_maps(spec: ExtensionSpec) -> tuple[tuple, list]:
     ]
 
 
-class EntryWalks:
-    """``multiples_by_degree`` walks, one per map entry up to a nonzero
-    scalar: an entry c*e', with e' monic at its deglex lead, reads e''s
-    walk, since NF(u*c*e') = c*NF(u*e').  The resolution's maps share each
-    M[a][b] (M_l and M_r) and multiples of letters, each map at its own
-    fixed lag, so a walk's degree is made on its first read and dropped
-    after its last.  These are the walks the entries would make on their
-    own, each made once, and every step is still a ``quot.normal_form``
-    call.  The store also numbers the normal words of each degree once for
-    every map it serves."""
+def _graded_map_ranks(quot: GradedQuotient, maps) -> list:
+    """One iterator per (entries, source shifts) map of ``maps``, yielding
+    the rank of the degree-deg block of u*e_s -> sum_t u*entries[s][t]*e_t
+    for deg = 0, 1, 2, ...  Source block s starts at degree shifts[s].
 
-    def __init__(self, quot: GradedQuotient) -> None:
-        self.quot = quot
-        self._walks: list = []  # [e', its walk, readers, {degree: [nfs, reads left]}]
-        self._positions: dict[int, dict] = {}  # degree -> {normal word: its position}
-
-    def positions(self, d: int) -> dict:
-        """{u: i} for the i-th normal word u of degree d."""
-        if d not in self._positions:
-            self._positions[d] = {w: i for i, w in enumerate(self.quot.normal_words(d))}
-        return self._positions[d]
-
-    def reader(self, ent: FreeElement):
-        """(scale, degrees) for the nonzero entry c*e': degrees yields
-        {u: NF(u*e')} for d = 0, 1, 2, ..., and scale maps its coefficients
-        to the entry's (None for c = 1, a negation for c = -1).  A walk's
-        readers must all be made before it is read."""
-        c = ent.terms[max(ent.terms)]  # one degree: tuple order is deglex
-        monic = ent if c.is_one() else ent.scale(c.inv())
-        walk = next((w for w in self._walks if w[0] == monic), None)
-        if walk is None:
-            walk = [monic, multiples_by_degree(self.quot, monic), 0, {}]
-            self._walks.append(walk)
-        walk[2] += 1
-        scale = None if c.is_one() else neg if (-c).is_one() else c.__mul__
-        return scale, self._degrees(walk)
-
-    @staticmethod
-    def _degrees(walk):
-        steps, kept = walk[1], walk[3]
-        d = 0
-        while True:
-            if d not in kept:
-                kept[d] = [next(steps), walk[2]]
-            slot = kept[d]
-            slot[1] -= 1
-            if not slot[1]:
-                del kept[d]
-            yield slot[0]
-            d += 1
-
-
-def _graded_map_ranks(walks: EntryWalks, entries, shifts_src):
-    """Yield the rank of the degree-deg block of the map
-    u*e_s -> sum_t u*entries[s][t]*e_t, for deg = 0, 1, 2, ...  Each
-    nonzero entry reads its walk from ``walks`` once per degree, from the
-    degree its source shift reaches 0; its readers are made here, before the
-    first rank is asked for.
+    The maps share their walks: an entry c*e', with e' monic at its deglex
+    lead, reads the ``multiples_by_degree`` walk of e' and scales it by c,
+    since NF(u*c*e') = c*NF(u*e').  The resolution's maps share each M[a][b]
+    (M_l and M_r) and multiples of letters, each map at its own fixed lag.
+    ``itertools.tee`` gives every reader of a walk its own iterator, so each
+    degree of a walk is made once, on its first read, and every step is
+    still a ``quot.normal_form`` call.  CPython's ``tee`` frees its buffer
+    in blocks of 57 items, so a walk keeps the degrees it has made until
+    the returned iterators are dropped.
 
     The image of u*e_s is a row over the columns i * width + t for the i-th
     normal word of target block t, where width is the number of target
     blocks: every word of one block has one degree, so the numbering is one
-    to one.  Each row goes into the degree's ``RowReducer`` as it is made.
+    to one.  Each degree's normal words are numbered once for every map of
+    the call.  Each row goes into the degree's ``RowReducer`` as it is made.
     Scaling a row does not change the rank, so a source row with one
     nonzero entry skips that entry's scale."""
-    width = len(entries[0])
-    readers = []
-    for row in entries:
-        own = [(t, ent.degree, *walks.reader(ent)) for t, ent in enumerate(row) if not ent.is_zero()]
-        readers.append(own if len(own) > 1 else [(t, e, None, degrees) for t, e, _, degrees in own])
+    walks: list = []  # [e', the readers of its walk]
+    readers = []  # per map, per source row: [t, degree of the entry, scale, its iterator over the walk]
+    for entries, _ in maps:
+        rows = []
+        for row in entries:
+            own = []
+            for t, ent in enumerate(row):
+                if ent.is_zero():
+                    continue
+                c = ent.terms[max(ent.terms)]  # one degree: tuple order is deglex
+                monic = ent if c.is_one() else ent.scale(c.inv())
+                walk = next((w for w in walks if w[0] == monic), None)
+                if walk is None:
+                    walk = [monic, []]
+                    walks.append(walk)
+                scale = None if c.is_one() else neg if (-c).is_one() else c.__mul__
+                own.append([t, ent.degree, scale, None])
+                walk[1].append(own[-1])
+            if len(own) == 1:
+                own[0][2] = None
+            rows.append(own)
+        readers.append(rows)
+    for monic, own in walks:
+        for reader, degrees in zip(own, tee(multiples_by_degree(quot, monic), len(own))):
+            reader[3] = degrees
 
-    def block(deg: int) -> int:
-        red = RowReducer()
-        for s, a_s in enumerate(shifts_src):
-            if deg < a_s:
-                continue
-            images = [
-                (t, walks.positions(deg - a_s + e), scale, next(degrees))
-                for t, e, scale, degrees in readers[s]
-            ]
-            for u in walks.quot.normal_words(deg - a_s):
-                row: dict = {}
-                for t, pos, scale, nfs in images:
-                    for wd, c in nfs[u].terms.items():
-                        row[pos[wd] * width + t] = c if scale is None else scale(c)
-                if row:
-                    red.insert(row)
-        return red.rank
+    @cache
+    def numbered(d: int) -> dict:
+        """{u: i} for the i-th normal word u of degree d."""
+        return {w: i for i, w in enumerate(quot.normal_words(d))}
 
-    return map(block, count())
+    def ranks(rows, shifts_src, width: int):
+        for deg in count():
+            red = RowReducer()
+            for own, a_s in zip(rows, shifts_src):
+                if deg < a_s:
+                    continue
+                images = [(t, numbered(deg - a_s + e), scale, next(degrees)) for t, e, scale, degrees in own]
+                for u in quot.normal_words(deg - a_s):
+                    row: dict = {}
+                    for t, pos, scale, nfs in images:
+                        for wd, c in nfs[u].terms.items():
+                            row[pos[wd] * width + t] = c if scale is None else scale(c)
+                    if row:
+                        red.insert(row)
+            yield red.rank
+
+    return [ranks(rows, shifts, len(entries[0])) for rows, (entries, shifts) in zip(readers, maps)]
 
 
 def resolution_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient) -> None:
@@ -455,8 +437,7 @@ def resolution_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuot
     def dd(j: int) -> int:
         return dims[j] if j >= 0 else 0
 
-    walks = EntryWalks(D)
-    ranks = [_graded_map_ranks(walks, entries, shifts) for entries, shifts in maps]
+    ranks = _graded_map_ranks(D, maps)
     residuals = []
     exact_witness = None
     rank_rows = []

@@ -11,7 +11,6 @@ from conftest import field_instances, field_w, parse_tuple
 from normext.certify import (
     BuildError,
     Certificate,
-    EntryWalks,
     ResolutionDefect,
     ExtensionSpec,
     _graded_map_ranks,
@@ -463,36 +462,60 @@ def test_the_reported_left_annihilator_is_the_right_walks_kernel(corpus_entries,
         assert cert.diagnostics["left_annihilator_dims"] == walked, (label, engine)
 
 
-def exact_terms(terms):
-    return {w: (c.n, c.num, c.den) for w, c in terms.items()}
+def unshared_ranks(quot, entries, shifts_src, top):
+    """The ranks, for deg = 0..top, of the degree-deg block of the map
+    u*e_s -> sum_t u*entries[s][t]*e_t, with source block s starting at
+    degree shifts_src[s]: the reference for ``_graded_map_ranks``.  Each
+    nonzero entry walks its own ``multiples_by_degree``, unscaled, and a
+    row's columns are (target block, normal word) pairs."""
+    walks = [
+        [(t, multiples_by_degree(quot, e)) for t, e in enumerate(row) if not e.is_zero()] for row in entries
+    ]
+    ranks = []
+    for deg in range(top + 1):
+        red = RowReducer()
+        for own, a_s in zip(walks, shifts_src):
+            if deg < a_s:
+                continue
+            images = [(t, next(degrees)) for t, degrees in own]
+            for u in quot.normal_words(deg - a_s):
+                row = {(t, wd): c for t, nfs in images for wd, c in nfs[u].terms.items()}
+                if row:
+                    red.insert(row)
+        ranks.append(red.rank)
+    return ranks
 
 
 @pytest.mark.parametrize("engine", ["la", "gb"])
-def test_shared_walks_give_each_entry_its_own_rows(corpus_entries, engine):
-    """Read in the certificate's order, the walk an entry of the letter row,
-    M_l or M_r shares with the entries equal to it up to a scalar gives,
-    degree by degree, the dicts of its own walk, to the degree the
-    certificate at 2m+2 reads."""
+def test_shared_walks_rank_as_each_entry_walking_its_own(corpus_entries, engine, monkeypatch):
+    """The letter row, M_l and M_r, ranked in one call that shares one walk
+    per entry up to a nonzero scalar, have the ranks the unshared reference
+    gives, degree by degree to 2m+2.  The call walks each distinct monic
+    entry once, which is fewer walks than nonzero entries."""
     for label, spec in corpus_specs(corpus_entries):
         bound = 2 * spec.m + 2
         D = GradedQuotient(spec.D, engine)
-        walks = EntryWalks(D)
-        readers = []  # (first degree, last degree, scale, shared walk, own walk)
-        for entries, shifts in resolution_maps(spec)[1]:
-            for row, a in zip(entries, shifts):
-                for ent in row:
-                    if not ent.is_zero():
-                        readers.append((a, bound, *walks.reader(ent), multiples_by_degree(D, ent)))
-        assert len(walks._walks) < len(readers), label
-        for deg in range(bound + 1):
-            for first, last, scale, shared, own in readers:
-                if not first <= deg <= last:
-                    continue
-                got, want = next(shared), next(own)
-                assert list(got) == list(want), (label, deg)
-                for u, nf in want.items():
-                    scaled = {w: c if scale is None else scale(c) for w, c in got[u].terms.items()}
-                    assert exact_terms(scaled) == exact_terms(nf.terms), (label, engine, u)
+        maps = resolution_maps(spec)[1]
+        want = [unshared_ranks(D, entries, shifts, bound) for entries, shifts in maps]
+
+        walked = []
+
+        def counting(quot, e, walked=walked):
+            walked.append(e)
+            return multiples_by_degree(quot, e)
+
+        monkeypatch.setattr(certify, "multiples_by_degree", counting)
+        got = [[r for _, r in zip(range(bound + 1), ranks)] for ranks in _graded_map_ranks(D, maps)]
+        monkeypatch.undo()
+        assert got == want, (label, engine)
+
+        nonzero = [e for entries, _ in maps for row in entries for e in row if not e.is_zero()]
+        monics = []
+        for e in nonzero:
+            monic = e.scale(e.terms[max(e.terms)].inv())
+            if monic not in monics:
+                monics.append(monic)
+        assert walked == monics and len(walked) < len(nonzero), label
 
 
 @pytest.mark.parametrize("engine", ["la", "gb", "both"])
@@ -506,7 +529,7 @@ def test_the_letter_column_rank_is_the_augmentation_dimension(corpus_entries, en
         n, bound = spec.n, 2 * spec.m + 2
         D = GradedQuotient(spec.D, engine)
         letters = [[FreeElement.gen(spec.ctx, i)] for i in range(n)]
-        ranks = _graded_map_ranks(EntryWalks(D), letters, [1] * n)
+        (ranks,) = _graded_map_ranks(D, [(letters, [1] * n)])
         walked = [rank for _, rank in zip(range(bound + 1), ranks)]
         cert = stage_cert(spec, bound)
         resolution_certificate(cert, spec, D)

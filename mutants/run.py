@@ -43,6 +43,7 @@ C = "tests/test_certify.py::"
 Q = "tests/test_quotient.py::"
 T = "tests/test_tuples.py::"
 S = "tests/test_superpotential.py::"
+SC = "tests/test_scalars.py::"
 
 MUTANTS = [
     # the left annihilator is derived only from a normal Omega
@@ -262,8 +263,8 @@ MUTANTS = [
     # LA normal words with reversed letters
     Mutant(
         "quotient.py",
-        "self._words[d] = [code_word(c, self.pres.ctx.n) for c in self.standard[d]]",
-        "self._words[d] = [code_word(c, self.pres.ctx.n)[::-1] for c in self.standard[d]]",
+        "words = [code_word(c, self.pres.ctx.n) for c in self.standard[d]]",
+        "words = [code_word(c, self.pres.ctx.n)[::-1] for c in self.standard[d]]",
         (Q + "test_normal_words_are_prefix_closed[la]",),
     ),
     # copied LA rows stored without counting against the entry limit
@@ -300,6 +301,34 @@ MUTANTS = [
         "    out.terms = {u: c for (_, u), c in found[0].items()}",
         "    out.terms = {u: c + c for (_, u), c in found[0].items()}",
         (S + "test_recover_poly_superpotential",),
+    ),
+    # the rational branch taken when only the first factor is rational
+    Mutant(
+        "scalars.py",
+        'return " or ".join(f"{x}{i}" for x in xs for i in range(1, d))',
+        'return " or ".join(f"{x}{i}" for x in xs[:1] for i in range(1, d))',
+        (SC + "test_generated_kernels_match_the_generic_path[105]",),
+    ),
+    # the rational fms taken for an a with other nonzero numerators
+    Mutant(
+        "scalars.py",
+        """f"    if not ({others('a')}):",""",
+        """"    if True:",""",
+        (SC + "test_generated_kernels_match_the_generic_path[105]",),
+    ),
+    # a rational fms that takes a's denominator to be the product's
+    Mutant(
+        "scalars.py",
+        """["e = a.den"] + subtract(first)""",
+        """["e = den"] + subtract(first)""",
+        (SC + "test_generated_kernels_match_the_generic_path[105]",),
+    ),
+    # an la normal form that reads its words from a misaligned table
+    Mutant(
+        "quotient.py",
+        "dict(zip(self.standard[d], words))",
+        "dict(zip(self.standard[d], words[::-1]))",
+        (Q + "test_normal_words_are_prefix_closed[la]",),
     ),
 ]
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .freealg import AlgebraError, CoefficientModeError, Context, FreeElement, word_key
 from .linalg import RowReducer
@@ -163,7 +164,8 @@ class LinearEngine:
         # code 0, is standard
         self.levels: list[RowReducer] = [RowReducer(entry_limit=entry_limit)]
         self.standard: list[list[int]] = [[0]]  # codes of each level's standard words, ascending
-        self._words: dict[int, list[tuple]] = {}  # degree -> its standard words, once asked for
+        # degree -> its standard words and their code -> word table, once asked for
+        self._words: dict[int, tuple[list[tuple], dict[int, tuple]]] = {}
 
     def _relation_rows(self, d: int):
         """Rows r * v for each relation r and standard word v of degree
@@ -217,29 +219,43 @@ class LinearEngine:
             self.extend(d)
         return self.levels[d]
 
-    def _element(self, row: dict) -> FreeElement:
+    def _element(self, row: dict, word) -> FreeElement:
+        """The element whose terms are row's, each code read by word()."""
         out = FreeElement(self.pres.ctx)
-        out.terms = {code_word(c, self.pres.ctx.n): v for c, v in row.items()}
+        out.terms = {word(c): v for c, v in row.items()}
         return out
+
+    def _standard_words(self, d: int) -> tuple[list[tuple], dict[int, tuple]]:
+        """The standard words of degree d, in deglex order, and the table
+        from each one's code to it: built together on the first request."""
+        if d not in self._words:
+            self._level(d)
+            words = [code_word(c, self.pres.ctx.n) for c in self.standard[d]]
+            self._words[d] = words, dict(zip(self.standard[d], words))
+        return self._words[d]
 
     def normal_words(self, d: int) -> list[tuple]:
         """Standard words of degree d (the non-pivots), in deglex order: a
         list built on the first request and kept, which callers must not mutate."""
-        if d not in self._words:
-            self._level(d)
-            self._words[d] = [code_word(c, self.pres.ctx.n) for c in self.standard[d]]
-        return self._words[d]
+        return self._standard_words(d)[0]
 
     def normal_form(self, f: FreeElement) -> FreeElement:
         """f fully reduced against the echelon basis of its degree."""
         d = f.require_homogeneous("normal form")
         n, conductor = self.pres.ctx.n, self.pres.ctx.conductor
         row = {word_code(w, n): c.promote(conductor) for w, c in f.terms.items()}
-        return self._element(self._level(d).normal_form(row))
+        nf = self._level(d).normal_form(row)
+        if not nf:  # a degree whose forms are all zero builds no table
+            return FreeElement(self.pres.ctx)
+        # every term is a standard word: read it from the table of degree d
+        return self._element(nf, self._standard_words(d)[1].__getitem__)
 
     def ideal_basis(self, d: int) -> list[FreeElement]:
+        """The pivot rows of degree d.  Their leads are not standard words,
+        so each code goes through ``code_word``."""
         pivots = self._level(d).pivots
-        return [self._element(pivots[lead]) for lead in sorted(pivots)]
+        word = partial(code_word, n=self.pres.ctx.n)
+        return [self._element(pivots[lead], word) for lead in sorted(pivots)]
 
 
 _LA_CACHE: dict[str, LinearEngine] = {}

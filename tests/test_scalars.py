@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_scalar
 from normext.scalars import (
+    _KERNELS,
     Assignment,
     _convolve,
     _difference,
@@ -19,6 +20,7 @@ from normext.scalars import (
     UnitExponentError,
     UnitScalar,
     cyclotomic_poly,
+    fms_kernel,
     recognize_torsion,
     sc_fms,
     torsion_scalar,
@@ -315,6 +317,64 @@ def test_kernel_folds_long_vectors(n, vec):
     assert s.c == ref_fold(n, vec)
 
 
+# -- the rational branch of the generated kernels -----------------------
+#
+# For d >= 2 both kernels open with a branch for rational operands (two
+# factors, and the a of an fms when given).
+# coefficient_vectors makes every numerator after the first zero only
+# about once in 2^(d-1) draws per operand, so these draws make each
+# operand rational or general on purpose, and a also None.
+
+
+@st.composite
+def mixed_operands(draw, conductors=PROPERTY_CONDUCTORS + [5, 7, 15, 24]):
+    """(n, a, c, b) as Fraction vectors, each rational (zero after the
+    first numerator) or general, independently; a may be None."""
+    n = draw(st.sampled_from(conductors))
+    d = len(cyclotomic_poly(n)) - 1
+    sparse = st.one_of(st.just(Fraction(0)), fractions)
+
+    def operand():
+        width = d if draw(st.booleans()) else 1
+        vec = draw(st.lists(sparse, min_size=width, max_size=width))
+        return tuple(vec) + (Fraction(0),) * (d - width)
+
+    a = operand() if draw(st.booleans()) else None
+    return n, a, operand(), operand()
+
+
+def assert_is_reference(got, n, want):
+    """got is the canonical Scalar whose coefficients are want, part by part."""
+    assert_canonical(got)
+    ref = Scalar(n, want)
+    assert (got.n, got.num, got.den) == (ref.n, ref.num, ref.den)
+    assert got.c == want
+
+
+@PROPERTY
+@given(mixed_operands())
+def test_kernels_on_rational_and_general_operands_match_reference(data):
+    n, ca, cc, cb = data
+    c, b = Scalar(n, cc), Scalar(n, cb)
+    fms_kernel(n)
+    mul = _KERNELS[n][0]
+    prod = ref_mul(n, cc, cb)
+    assert_is_reference(mul(c, b), n, prod)
+    assert_is_reference(c * b, n, prod)
+    a = None if ca is None else Scalar(n, ca)
+    want = tuple(-v for v in prod) if ca is None else tuple(x - y for x, y in zip(ca, prod))
+    got = sc_fms(a, c, b)
+    if any(want):
+        assert_is_reference(got, n, want)
+    else:
+        assert got is None
+    # cancellation: a = c*b, and a = c*b + q, leaving only the rational q
+    assert sc_fms(c * b, c, b) is None
+    q = Fraction(7, 6)
+    rest = sc_fms(c * b + Scalar(n, [q]), c, b)
+    assert_is_reference(rest, n, ref_fold(n, [q]))
+
+
 # -- the generated kernels against the generic convolution --------------
 #
 # Every hypothesis test above already multiplies through the generated
@@ -333,17 +393,20 @@ def test_generated_kernels_match_the_generic_path(n):
     rng = random.Random(n)
     d = len(cyclotomic_poly(n)) - 1
 
-    def draw():  # every coefficient nonzero, so no product vanishes
-        return Scalar(n, [Fraction(rng.randint(-40, 40) or 41, rng.randint(1, 12)) for _ in range(d)])
+    def draw(width):  # every coefficient below width nonzero, so no product vanishes
+        return Scalar(n, [Fraction(rng.randint(-40, 40) or 41, rng.randint(1, 12)) for _ in range(width)])
 
-    for _ in range(40 if d == 1 else 3):
-        a, b, c = draw(), draw(), draw()
+    # each of a, b, c rational (width 1) or general (width d), in every combination
+    sizes = sorted({1, d})
+    widths = [(wa, wb, wc) for wa in sizes for wb in sizes for wc in sizes]
+    for wa, wb, wc in widths * (40 if d == 1 else 1):
+        a, b, c = draw(wa), draw(wb), draw(wc)
         prod = b * c
+        want = ref_mul(n, c.c, b.c)
         assert_canonical(prod)
         assert (prod.n, (prod.num, prod.den)) == (n, generic_product(b, c))
-        assert prod.c == ref_mul(n, b.c, c.c)
+        assert prod.c == want
         got = sc_fms(a, c, b)
-        want = ref_mul(n, c.c, b.c)
         assert_canonical(got)
         generic = _lowest(*_difference(a.num, a.den, *generic_product(c, b)))
         assert (got.n, (got.num, got.den)) == (n, generic)
@@ -363,3 +426,14 @@ def test_generated_source_spells_out_the_fold_of_phi_12():
         assert f"    {line}\n" in source
     assert "    p3 = a0*b3 + a1*b2 + a2*b1 + a3*b0\n" in source
     assert "    g = gcd(den, q0, q1, q2, q3)\n" in source
+    # two rational factors: one product, gcd(den, q0), the zeros written in
+    assert (
+        "    if not (a1 or a2 or a3 or b1 or b2 or b3):\n"
+        "        q0 = a0*b0\n"
+        "        den = a.den * b.den\n"
+        "        g = gcd(den, q0)\n"
+        "        s = new(Scalar)\n"
+        "        s.n = n\n"
+        "        if g == 1:\n"
+        "            s.num = (q0, 0, 0, 0)\n"
+    ) in source

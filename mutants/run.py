@@ -44,6 +44,7 @@ Q = "tests/test_quotient.py::"
 T = "tests/test_tuples.py::"
 S = "tests/test_superpotential.py::"
 SC = "tests/test_scalars.py::"
+F = "tests/test_family.py::"
 
 MUTANTS = [
     # the left annihilator is derived only from a normal Omega
@@ -329,6 +330,27 @@ MUTANTS = [
         "dict(zip(self.standard[d], words))",
         "dict(zip(self.standard[d], words[::-1]))",
         (Q + "test_normal_words_are_prefix_closed[la]",),
+    ),
+    # a fiber's W_j scaled by c_j instead of the pivot coordinate
+    Mutant(
+        "family.py",
+        "sp.f[j].scale(coords[pivot]) - omega.scale(coords[j])",
+        "sp.f[j].scale(coords[j]) - omega.scale(coords[j])",
+        (F + "test_coordinate_fiber_matches_extension",),
+    ),
+    # a fiber without the commutator of its first non-pivot letter
+    Mutant(
+        "family.py",
+        "    for i in others:\n",
+        "    for i in others[1:]:\n",
+        (F + "test_coordinate_fiber_matches_extension",),
+    ),
+    # D built without one of the kept derivatives
+    Mutant(
+        "certify.py",
+        "self.kept = [sp.f[i] for i in range(n) if i != k]",
+        "self.kept = [sp.f[i] for i in range(n) if i != k][1:]",
+        (C + "test_build_extension_relations",),
     ),
 ]
 

@@ -18,7 +18,7 @@ from normext.family import (
 )
 from normext.freealg import Context, FreeElement
 from normext.linalg import RowReducer
-from normext.quotient import hilbert_table
+from normext.quotient import Presentation, hilbert_table
 from normext.scalars import Scalar, UnitScalar
 from normext.superpotential import DiagonalMap, Superpotential, eigen_scale
 
@@ -40,12 +40,61 @@ def test_coordinate_fiber_matches_extension():
     spec2 = build_extension(SP, (ONE, ONE, ONE), 1)
     assert ideal_components_match(fb2.presentation, spec2.D, [2, 3])
     assert not ideal_components_match(fb.presentation, spec2.D, [2, 3])
+    for k in range(SP.n):
+        e_k = tuple(ONE if j == k else ZERO for j in range(SP.n))
+        texts = build_extension(SP, (ONE,) * SP.n, k).D.texts
+        assert fiber(SP, e_k).presentation.texts == texts
 
 
 def test_fiber_scaling_invariance():
     fa = fiber(SP, (ONE, TWO, THREE))
     fb = fiber(SP, (TWO, Scalar.from_rational(4), Scalar.from_rational(6)))
     assert ideal_components_match(fa.presentation, fb.presentation, [2, 3])
+    assert fa.presentation.texts == fb.presentation.texts
+
+
+def pairs_and_commutators(sp, coords):
+    """A reference D_c: all n(n-1)/2 relations c_i f_j - c_j f_i and all n^2
+    commutators [x_i, f_j]."""
+    xs = [FreeElement.gen(sp.ctx, i) for i in range(sp.n)]
+    rels = [
+        sp.f[j].scale(coords[i]) - sp.f[i].scale(coords[j])
+        for i in range(sp.n)
+        for j in range(i + 1, sp.n)
+    ]
+    rels += [x * f - f * x for x in xs for f in sp.f]
+    return Presentation(sp.ctx, rels)
+
+
+FIBER_POINTS = {
+    "cubic_a": ("1,0", "0,1", "1,1", "1,-2", "0,3", "2,5"),
+    "sklyanin": ("1,0,0", "0,1,0", "0,0,1", "1,1,1", "0,1,2", "0,z,1", "3,-1,z^2"),
+    "w_poly": ("1,0,0", "0,1,0", "0,0,1", "1,2,3", "0,1,2", "0,0,5", "2,0,-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_POINTS))
+def test_a_fiber_generates_the_reference_ideal(corpus_entries, name):
+    """The 2(n-1) pivot relations generate the ideal of every pair relation
+    and every commutator [x_i, f_j], at points with any pivot."""
+    entry = corpus_entries[name]
+    sp = Superpotential(field_w(entry))
+    for text in FIBER_POINTS[name]:
+        coords = parse_tuple(text, sp.ctx.conductor)
+        fb = fiber(sp, coords)
+        assert len(fb.presentation.relations) == 2 * (sp.n - 1), text
+        ref = pairs_and_commutators(sp, coords)
+        assert ideal_components_match(fb.presentation, ref, range(sp.m, sp.m + 4)), text
+        bound = 2 * sp.m + 2
+        assert hilbert_table(fb.presentation, bound, "gb").dims == hilbert_table(ref, bound, "gb").dims
+
+
+def test_a_fiber_of_dependent_derivatives_is_refused():
+    ctx = Context(("x", "y"), 1)
+    sp = Superpotential(parse_poly("x*x*x", ctx))
+    assert sp.twist.is_identity()  # only the dependent derivatives are wrong
+    with pytest.raises(FamilyError, match="linearly dependent"):
+        fiber(sp, (ONE, ONE))
 
 
 def test_fiber_guards():

@@ -118,16 +118,10 @@ MUTANTS = [
         (C + "test_a_broken_resolution_identity_is_an_internal_defect",),
     ),
     Mutant(
-        "superpotential.py",
-        "    if matmul(m, [[x] for x in xs]) != [[fi] for fi in f]:\n",
+        "certify.py",
+        "    if matmul(Mr, xcol) != [[e] for e in gr]:\n",
         "    if False:\n",
-        (S + "test_a_rescaled_bundle_breaks_m_x_equals_f",),
-    ),
-    Mutant(
-        "superpotential.py",
-        "            raise DefectError(\"bundle identities failed after twist recognition\")",
-        "            pass",
-        (S + "test_a_wrong_twist_breaks_the_bundle_identities",),
+        (C + "test_a_broken_m_r_x_equals_g_r_is_an_internal_defect",),
     ),
     # the factors of matmul swapped
     Mutant(

@@ -3,11 +3,20 @@
 The twist is defined through the bundle identity w = sum_i q_i f_i x_i
 (equivalently x^t M = (Qf)^t), which is the form every downstream
 construction consumes.  Only diagonal twists are recognized.
+
+The bundle identities hold by construction, and nothing here re-checks
+them.  ``Superpotential`` strips w once on each side, f_i dropping a
+leading x_i and g_i a trailing one, so x^t f = w = g^t x; it recognizes Q
+from those same bundles as g_i = q_i f_i, so (Qf)^t x = w.
+``coefficient_matrix`` strips both ends, so M x = f and x^t M = g^t.  On
+the certificate path ``resolution_maps`` checks x^t M_l = g_l^t and
+M_r x = g_r, which imply x^t M = (Qf)^t and M x = f, on every run and
+reports them as ``resolution_identities``.
 """
 
 from __future__ import annotations
 
-from .freealg import AlgebraError, Context, FreeElement, HomogeneityError, gens, matmul
+from .freealg import AlgebraError, Context, FreeElement, HomogeneityError
 from .linalg import RowReducer
 
 
@@ -28,10 +37,6 @@ class IntersectionError(AlgebraError):
     def __init__(self, dim: int):
         super().__init__(f"relation intersection has dimension {dim}, expected 1")
         self.dim = dim
-
-
-class DefectError(AssertionError):
-    """Internal identity failed; indicates a bug, not bad input."""
 
 
 class DiagonalMap:
@@ -93,67 +98,36 @@ def cyclic_derivatives(w: FreeElement) -> list[FreeElement]:
     return [w.left_derivative(i) for i in range(w.ctx.n)]
 
 
-def trailing_derivatives(w: FreeElement) -> list[FreeElement]:
-    """The bundle g_i obtained by stripping the trailing letter."""
-    if w.is_zero() or w.require_homogeneous("trailing derivatives") < 2:
-        raise HomogeneityError("superpotential must be homogeneous of degree >= 2")
-    return [w.right_derivative(i) for i in range(w.ctx.n)]
-
-
 def twist_of(w: FreeElement) -> DiagonalMap:
     """The unique diagonal Q with g_i = q_i f_i, or TwistError."""
-    ctx = w.ctx
-    f = cyclic_derivatives(w)
-    g = trailing_derivatives(w)
-    scales = []
-    for i in range(ctx.n):
-        if f[i].is_zero() and g[i].is_zero():
-            scales.append(ctx.one())
-            continue
-        if f[i].is_zero() or g[i].is_zero():
-            raise TwistError(
-                f"no diagonal twist: exactly one of f_{i + 1}, g_{i + 1} vanishes"
-            )
-        word = f[i].support()[0]
-        cg = g[i].coeff(word)
-        if cg is None:
-            raise TwistError(
-                f"no diagonal twist: g_{i + 1} is not proportional to f_{i + 1}"
-            )
-        q = cg / f[i].coeff(word)
-        if g[i] != f[i].scale(q):
-            raise TwistError(
-                f"no diagonal twist: g_{i + 1} is not proportional to f_{i + 1}"
-            )
-        scales.append(q)
-    return DiagonalMap(ctx, scales)
-
-
-def is_superpotential(w: FreeElement) -> bool:
-    try:
-        return twist_of(w).is_identity()
-    except TwistError:
-        return False
+    return Superpotential(w).twist
 
 
 class Superpotential:
-    """A recognized twisted superpotential with its derivative bundles."""
+    """A recognized twisted superpotential with its derivative bundles f, g
+    and its twist Q, each derived once from w."""
 
     __slots__ = ("w", "f", "g", "twist", "ctx")
 
     def __init__(self, w: FreeElement) -> None:
-        self.ctx = w.ctx
+        ctx = self.ctx = w.ctx
         self.w = w
         self.f = cyclic_derivatives(w)
-        self.g = trailing_derivatives(w)
-        self.twist = twist_of(w)
-        # Defensive: the identities the twist encodes, x^t f = w = (Qf)^t x.
-        xs = gens(self.ctx)
-        qf = [fi.scale(q) for fi, q in zip(self.f, self.twist.scales)]
-        lead = matmul([xs], [[fi] for fi in self.f])
-        trail = matmul([qf], [[x] for x in xs])
-        if lead != [[w]] or trail != [[w]]:
-            raise DefectError("bundle identities failed after twist recognition")
+        self.g = [w.right_derivative(i) for i in range(ctx.n)]
+        scales = []
+        for i, (fi, gi) in enumerate(zip(self.f, self.g), 1):
+            if fi.is_zero() or gi.is_zero():
+                if fi.is_zero() != gi.is_zero():
+                    raise TwistError(f"no diagonal twist: exactly one of f_{i}, g_{i} vanishes")
+                scales.append(ctx.one())
+                continue
+            word = fi.support()[0]
+            cg = gi.coeff(word)
+            q = None if cg is None else cg / fi.coeff(word)
+            if q is None or gi != fi.scale(q):
+                raise TwistError(f"no diagonal twist: g_{i} is not proportional to f_{i}")
+            scales.append(q)
+        self.twist = DiagonalMap(ctx, scales)
 
     @property
     def n(self) -> int:
@@ -172,7 +146,8 @@ class Superpotential:
 
 
 def coefficient_matrix(w: FreeElement) -> list[list[FreeElement]]:
-    """M with w = x^t M x: strip the leading and trailing letters."""
+    """M with w = x^t M x: strip the leading and trailing letters.  Needs
+    no twist; M x = f and x^t M = g^t by construction."""
     ctx = w.ctx
     if w.is_zero() or w.require_homogeneous("coefficient matrix") < 2:
         raise HomogeneityError("coefficient matrix needs a homogeneous element of degree >= 2")
@@ -181,17 +156,6 @@ def coefficient_matrix(w: FreeElement) -> list[list[FreeElement]]:
         i, j = word[0], word[-1]
         mid = word[1:-1]
         m[i][j] = m[i][j] + FreeElement.monomial(ctx, mid, c)
-    # Defensive checks: M x = f always; x^t M = (Qf)^t when a twist exists.
-    f = cyclic_derivatives(w)
-    xs = gens(ctx)
-    if matmul(m, [[x] for x in xs]) != [[fi] for fi in f]:
-        raise DefectError("coefficient matrix fails M x = f")
-    try:
-        q = twist_of(w)
-    except TwistError:
-        q = None
-    if q is not None and matmul([xs], m) != [[fi.scale(s) for fi, s in zip(f, q.scales)]]:
-        raise DefectError("coefficient matrix fails x^t M = (Qf)^t")
     return m
 
 

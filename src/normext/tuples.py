@@ -3,11 +3,12 @@
 A system has unknowns p_1..p_n, the pinned equation p_k = q_k, and one
 equation prod_t p_{j_t} = q_k per support monomial of w.  Additively this
 is an integer matrix acting on (Q/Z) + Q^params, solved exactly through one
-integer diagonalization of that matrix.  Solutions come back as finitely
-many parametric families: a particular solution, free multiplicative
-directions carrying fresh symbols, and a finite set of torsion cosets that
-are distinct by construction.  One Smith form of a family's directions
-decides every membership question about it.
+integer diagonalization of that matrix.  The solution set comes back as a
+list of at most one parametric family, empty when the system is
+inconsistent: a particular solution, free multiplicative directions
+carrying fresh symbols, and a finite set of torsion cosets that are
+distinct by construction.  One Smith form of a family's directions decides
+every membership question about it.
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ def w_hash(w: FreeElement) -> str:
 
 
 def solve_units(sys: ConstraintSystem, w_digest: str = "") -> list[SolutionFamily]:
-    """Complete solution set of the system; empty list when inconsistent."""
+    """Complete solution set of the system: a list of one family, or the
+    empty list when the system is inconsistent."""
     n = sys.n
     kp = sys.nparams
     c = [list(counts) for counts, _ in sys.rows]

@@ -5,9 +5,6 @@ read the captured output).  Bounds are fixed at 2m+4 per instance; every
 tolerance here is exact equality.
 """
 
-import json
-from math import comb
-
 import pytest
 
 from conftest import field_instances, field_w, parse_tuple
@@ -19,7 +16,6 @@ from normext.freealg import Context
 from normext.quotient import Presentation, hilbert_table
 from normext.scalars import Scalar
 from normext.superpotential import DiagonalMap, Superpotential
-from normext.tuples import is_good
 
 
 def report(number: int, text: str, ok: bool) -> None:

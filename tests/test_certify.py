@@ -12,7 +12,6 @@ from normext.certify import (
     BuildError,
     Certificate,
     ResolutionDefect,
-    ExtensionSpec,
     _graded_map_ranks,
     build_extension,
     full_certificate,
@@ -32,7 +31,7 @@ from normext.freealg import Context, FreeElement, matmul
 from normext.linalg import RowReducer
 from normext.quotient import GradedQuotient
 from normext.scalars import Scalar
-from normext.superpotential import Superpotential
+from normext.superpotential import DiagonalMap, Superpotential
 from normext.tuples import is_good
 
 CTX = Context(("x", "y", "z"), 1)
@@ -256,6 +255,38 @@ def test_a_broken_resolution_identity_is_an_internal_defect(monkeypatch, capsys)
     path = str(default_corpus_path() / "w_poly.alg")
     assert cli.run(["verify", path, "--omit", "1", "--p", "1,1,1", "--engine", "gb"]) == 2
     assert capsys.readouterr().err.startswith("internal defect: x^t M_l = g_l^t fails")
+
+
+def _rescale_one_derivative(spec):
+    """Double f_j and halve q_j on spec's superpotential, for the first
+    j != k: every q_j f_j, and so x^t M_l = g_l^t, is unchanged, while
+    M_r x = g_r, whose g_r lists f_j itself, now fails."""
+    sp = spec.sp
+    j = 1 if spec.k == 0 else 0
+    two = sp.ctx.one() + sp.ctx.one()
+    sp.f = [fi.scale(two) if i == j else fi for i, fi in enumerate(sp.f)]
+    scales = list(sp.twist.scales)
+    scales[j] = scales[j] * two.inv()
+    sp.twist = DiagonalMap(sp.ctx, scales)
+    return spec
+
+
+def test_a_broken_m_r_x_equals_g_r_is_an_internal_defect(corpus_entries, monkeypatch, capsys):
+    """A rescaled f_j breaks only M_r x = g_r: ``resolution_maps`` raises on
+    the first instance of w_poly, sklyanin and cubic_s2, and ``normext
+    verify`` reports an internal defect with exit 2."""
+    firsts = {}
+    for label, spec in corpus_specs(corpus_entries):
+        firsts.setdefault(label.split(":")[0], spec)
+    for name in ("w_poly", "sklyanin", "cubic_s2"):
+        spec = _rescale_one_derivative(firsts[name])
+        with pytest.raises(ResolutionDefect, match="M_r x = g_r fails"):
+            resolution_maps(spec)
+    real = cli.build_extension
+    monkeypatch.setattr(cli, "build_extension", lambda *a, **kw: _rescale_one_derivative(real(*a, **kw)))
+    path = str(default_corpus_path() / "w_poly.alg")
+    assert cli.run(["verify", path, "--omit", "1", "--p", "1,1,1", "--engine", "gb"]) == 2
+    assert capsys.readouterr().err.startswith("internal defect: M_r x = g_r fails")
 
 
 PARAMETER_VALUES = ["1", "-1", "2", "-2", "1/2", "-1/2", "3", "-1/3"]

@@ -17,7 +17,6 @@ from normext.family import (
     zhang_twist_presentation,
 )
 from normext.freealg import Context, FreeElement
-from normext.linalg import RowReducer
 from normext.quotient import Presentation, hilbert_table
 from normext.scalars import Scalar, UnitScalar
 from normext.superpotential import DiagonalMap, Superpotential, eigen_scale

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the package
-uses each private name it defines."""
+"""Every module of the package, and every test, demo and the mutant runner,
+uses each name it imports, and the package uses each private name it
+defines."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 import normext
 
 MODULES = sorted(Path(normext.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")) + [ROOT / "mutants" / "run.py"]
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -32,6 +35,11 @@ def unused_imports(path: Path) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_imported_name_is_used(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.relative_to(ROOT).as_posix() for p in SCRIPTS])
+def test_every_script_uses_its_imports(path):
     assert unused_imports(path) == []
 
 

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element
-from normext import superpotential
 from normext.dsl import parse_poly, print_poly
-from normext.freealg import Context, FreeElement
+from normext.freealg import Context, FreeElement, gens, matmul
 from normext.linalg import RowReducer
 from normext.scalars import Assignment, Scalar, UnitScalar
 from normext.superpotential import (
-    DefectError,
     DiagonalMap,
     IntersectionError,
     NotEigenvectorError,
@@ -21,7 +19,6 @@ from normext.superpotential import (
     coefficient_matrix,
     cyclic_derivatives,
     eigen_scale,
-    is_superpotential,
     superpotential_from_relations,
     twist_of,
 )
@@ -53,7 +50,6 @@ def test_cyclic_derivatives_corner():
 
 def test_twist_poly_identity():
     assert twist_of(W_POLY).is_identity()
-    assert is_superpotential(W_POLY)
 
 
 def test_twist_s2():
@@ -227,34 +223,37 @@ def test_eigen_scale_failure_reports_both_monomials():
     assert len(e.value.witnesses) == 2 and e.value.values[0] != e.value.values[1]
 
 
-def test_a_rescaled_bundle_breaks_m_x_equals_f(monkeypatch):
-    real = superpotential.cyclic_derivatives
-    two = Scalar.from_rational(2)
-    monkeypatch.setattr(superpotential, "cyclic_derivatives", lambda w: [f.scale(two) for f in real(w)])
-    with pytest.raises(DefectError, match="M x = f"):
-        coefficient_matrix(W_POLY)
-
-
-def test_a_wrong_twist_breaks_the_bundle_identities(monkeypatch):
-    wrong = DiagonalMap(CTX, (Scalar.from_rational(2), Scalar.one(1), Scalar.one(1)))
-    monkeypatch.setattr(superpotential, "twist_of", lambda w: wrong)
-    with pytest.raises(DefectError, match="bundle identities failed"):
-        Superpotential(W_POLY)
-    with pytest.raises(DefectError, match="x\\^t M = \\(Qf\\)\\^t"):
-        coefficient_matrix(W_POLY)
-
-
 def test_coefficient_matrix_verifies_mx_f_randomized():
+    """On random homogeneous w, twisted or not, over Q and Q(zeta_3):
+    M x = f, x^t M = g^t, x^t f = w and g^t x = w."""
     rng = random.Random(8)
-    xs = [FreeElement.gen(CTX, i) for i in range(3)]
-    for _ in range(20):
-        w = random_element(rng, CTX, 3, 5)
-        if w.is_zero():
-            continue
-        m = coefficient_matrix(w)
-        f = cyclic_derivatives(w)
-        for i in range(3):
-            row = FreeElement.zero(CTX)
-            for j in range(3):
-                row = row + m[i][j] * xs[j]
-            assert row == f[i]
+    for conductor in (1, 3):
+        ctx = Context(("x", "y", "z"), conductor)
+        xrow = [gens(ctx)]
+        xcol = [[x] for x in xrow[0]]
+        for _ in range(20):
+            w = random_element(rng, ctx, 3, 5)
+            if w.is_zero():
+                continue
+            m = coefficient_matrix(w)
+            f = cyclic_derivatives(w)
+            g = [w.right_derivative(i) for i in range(3)]
+            assert matmul(m, xcol) == [[fi] for fi in f]
+            assert matmul(xrow, m) == [g]
+            assert matmul(xrow, [[fi] for fi in f]) == [[w]]
+            assert matmul([g], xcol) == [[w]]
+
+
+def test_every_corpus_superpotential_has_g_equal_to_q_f(corpus_entries):
+    """g_i = q_i f_i for every corpus w as written, in unit mode when it has
+    parameters, and for each specialization a certificate instance uses."""
+    from conftest import field_instances, field_w
+
+    ws = []
+    for entry in corpus_entries.values():
+        ws.append(entry.algebra.w)
+        ws += [field_w(entry, assign) for _, _, assign, _ in field_instances(entry)]
+    assert {w.ctx.mode for w in ws} == {"field", "unit"}
+    for w in ws:
+        sp = Superpotential(w)
+        assert sp.g == [fi.scale(q) for fi, q in zip(sp.f, sp.twist.scales)]

@@ -11,7 +11,7 @@ from normext.dsl import parse_poly, parse_unit
 from normext.freealg import Context
 from normext.linalg import RowReducer, diagonalize_integer_matrix
 from normext.scalars import Assignment, Scalar, ScalarError, UnitScalar
-from normext.superpotential import DiagonalMap, Superpotential, eigen_scale
+from normext.superpotential import Superpotential
 from normext.tuples import (
     ConstraintSystem,
     SolutionFamily,

@@ -154,9 +154,23 @@ MUTANTS = [
     # coset slots not divided by s
     Mutant(
         "tuples.py",
-        "y[slot] = Fraction(j, mod)",
-        "y[slot] = Fraction(j)",
+        "x[slot] = [Fraction(j, mod)]",
+        "x[slot] = [Fraction(j)]",
         (T + "test_corpus_solutions_have_distinct_cosets",),
+    ),
+    # a zero diagonal entry whose torsion need not be an integer
+    Mutant(
+        "tuples.py",
+        "(ri[0] % 1 or any(ri[1:]))",
+        "any(ri[1:])",
+        (T + "test_random_solution_sets_are_exactly_the_solutions_on_a_grid",),
+    ),
+    # a zero diagonal entry whose parameter exponents need not be 0
+    Mutant(
+        "tuples.py",
+        "(ri[0] % 1 or any(ri[1:]))",
+        "ri[0] % 1",
+        (T + "test_solver_inconsistent_system_is_empty",),
     ),
     # the last label of an exponent vector kept
     Mutant(

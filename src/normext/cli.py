@@ -32,7 +32,7 @@ from .family import flatness_probe, zhang_certificate
 from .freealg import AlgebraError, Context
 from .linalg import ResourceLimitError
 from .quotient import Presentation, hilbert_table
-from .scalars import ScalarError, UnitScalar
+from .scalars import Scalar, ScalarError, UnitScalar
 from .superpotential import (
     DiagonalMap,
     Superpotential,
@@ -194,8 +194,6 @@ def cmd_family_probe(args) -> int:
             _parse_field_tuple(part, sp.ctx) for part in args.points.split(";") if part
         ]
     else:
-        from .scalars import Scalar
-
         one = Scalar.one(sp.ctx.conductor)
         zero = Scalar.zero(sp.ctx.conductor)
         pts = [

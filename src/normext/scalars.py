@@ -19,8 +19,8 @@ Two coefficient domains coexist:
   kernel multiplies the first numerators only and returns the same
   canonical Scalar as the full convolution would; 16 of the 19 corpus
   instances have only such coefficients in D.
-  The inverse of a rational is read off; any other inverse runs on the
-  generic convolution (``_convolve``): the product of the Galois
+  The inverse of a rational is read off; any other inverse multiplies
+  through the same kernels over denominator 1: the product of the Galois
   conjugates of a numerator is its cofactor against the norm, an integer.
 * ``UnitScalar`` -- an element of the divisible abelian group
   (Q/Z) + Q^k, written multiplicatively as e^(2*pi*i*r) * prod params^a_j.
@@ -148,19 +148,6 @@ def _fold(n: int, vec: list[int], d: int) -> list[int]:
     return out
 
 
-def _convolve(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
-    """Integer numerator of a product in Q(zeta_n): the one convolution."""
-    d = len(x)
-    if d == 1:
-        return [x[0] * y[0]]
-    conv = [0] * (2 * d - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for k, yj in enumerate(y, i):
-                conv[k] += xi * yj
-    return _fold(n, conv, d)
-
-
 def _difference(xn, xd: int, yn, yd: int) -> tuple[list[int], int]:
     """Numerators and denominator of xn/xd - yn/yd over lcm(xd, yd)."""
     if xd == yd:
@@ -190,18 +177,19 @@ def _norm_inverse(a: "Scalar") -> "Scalar":
     """a^(-1) through the norm, for a != 0: with a = num/den and
     c = prod_{sigma != 1} sigma(num) over the Galois automorphisms
     sigma_k: z -> z^k (k coprime to N), num * c = N(num) is a nonzero
-    integer, so a^(-1) = den * c / N(num)."""
+    integer, so a^(-1) = den * c / N(num).  The products are Scalars over
+    denominator 1, which ``_make`` leaves as they are: gcd(1, ...) = 1."""
     n, num = a.n, a.num
-    cofactor = [1] + [0] * (len(num) - 1)
+    cofactor = Scalar.one(n)
     for k in range(2, n):
         if gcd(k, n) == 1:
             spread = [0] * n
             for i, v in enumerate(num):
                 spread[i * k % n] += v
-            cofactor = _convolve(n, cofactor, _fold(n, spread, len(num)))
-    norm = _convolve(n, num, cofactor)[0]
+            cofactor = cofactor * _make(n, _fold(n, spread, len(num)), 1)
+    norm = (_make(n, num, 1) * cofactor).num[0]
     sign = 1 if norm > 0 else -1
-    return _make(n, [sign * a.den * v for v in cofactor], sign * norm)
+    return _make(n, [sign * a.den * v for v in cofactor.num], sign * norm)
 
 
 class Scalar:

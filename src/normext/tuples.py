@@ -2,13 +2,14 @@
 
 A system has unknowns p_1..p_n, the pinned equation p_k = q_k, and one
 equation prod_t p_{j_t} = q_k per support monomial of w.  Additively this
-is an integer matrix acting on (Q/Z) + Q^params, solved exactly through one
-integer diagonalization of that matrix.  The solution set comes back as a
-list of at most one parametric family, empty when the system is
-inconsistent: a particular solution, free multiplicative directions
-carrying fresh symbols, and a finite set of torsion cosets that are
-distinct by construction.  One Smith form of a family's directions decides
-every membership question about it.
+is C*y = r for the integer matrix C of exponent counts, where r has one
+column for the torsion (read modulo 1) and one per parameter; one integer
+diagonalization of C solves all the columns together.  The solution set
+comes back as a list of at most one parametric family, empty when the
+system is inconsistent: a particular solution, free multiplicative
+directions carrying fresh symbols, and a finite set of torsion cosets that
+are distinct by construction.  One Smith form of a family's directions
+decides every membership question about it.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import prod
 
 from .dsl import print_poly
-from .freealg import AlgebraError, FreeElement
+from .freealg import AlgebraError, FreeElement, matmul
 from .linalg import diagonalize_integer_matrix
 from .scalars import UnitScalar, unit_from_scalar
 from .superpotential import (
@@ -145,14 +147,13 @@ class SolutionFamily:
 
     def member_units(self, coset_index: int = 0) -> list[UnitScalar]:
         """Tuple entries over the extended parameter list params+symbols."""
-        ext = len(self.params) + len(self.directions)
         out = []
         for i in range(self.n):
             exps = list(self.particular[i].exps) + [
                 Fraction(vec[i]) for _, vec in self.directions
             ]
             tor = self.particular[i].tor + self.cosets[coset_index][i]
-            out.append(UnitScalar(tor, exps[:ext]))
+            out.append(UnitScalar(tor, exps))
         return out
 
     def entry_texts(self, coset_index: int = 0, conductor: int = 1) -> list[str]:
@@ -195,17 +196,9 @@ class SolutionFamily:
             return False
         if any(any(self._span_residues(vec)) for _, vec in other.directions):
             return False
-        base = [UnitScalar(u.tor, u.exps[: len(self.params)]) for u in other.member_units(0)]
         return all(
-            self.contains(
-                [
-                    UnitScalar(
-                        (u.tor + other.cosets[ci][i]) - other.cosets[0][i], u.exps
-                    )
-                    for i, u in enumerate(base)
-                ]
-            )
-            for ci in range(len(other.cosets))
+            self.contains([UnitScalar(p.tor + c, p.exps) for p, c in zip(other.particular, coset)])
+            for coset in other.cosets
         )
 
     def to_json(self, conductor: int = 1) -> dict:
@@ -227,63 +220,36 @@ def w_hash(w: FreeElement) -> str:
 
 def solve_units(sys: ConstraintSystem, w_digest: str = "") -> list[SolutionFamily]:
     """Complete solution set of the system: a list of one family, or the
-    empty list when the system is inconsistent."""
-    n = sys.n
-    kp = sys.nparams
-    c = [list(counts) for counts, _ in sys.rows]
-    rho = [rhs.tor for _, rhs in sys.rows]
-    b = [[rhs.exps[j] for j in range(kp)] for _, rhs in sys.rows]
-    m = len(c)
-    s, u, v = diagonalize_integer_matrix(c)
+    empty list when the system is inconsistent.
 
-    def urow_dot(i, col):
-        return sum(Fraction(u[i][j]) * col[j] for j in range(m))
-
-    urho = [urow_dot(i, rho) for i in range(m)]
-    ub = [[urow_dot(i, [b[e][j] for e in range(m)]) for j in range(kp)] for i in range(m)]
-
-    y_base_tor = [Fraction(0)] * n
-    y_param = [[Fraction(0)] * kp for _ in range(n)]
-    coset_slots: list[tuple[int, int]] = []  # (slot, modulus)
-    free_slots: list[int] = []
-    for i in range(n):
-        si = s[i][i] if i < m else 0
-        if si:
-            y_base_tor[i] = urho[i] / si
-            for j in range(kp):
-                y_param[i][j] = ub[i][j] / si
-            if si > 1:
-                coset_slots.append((i, si))
-        else:
-            free_slots.append(i)
-            if i < m:
-                if urho[i] % 1 != 0 or any(ub[i][j] for j in range(kp)):
-                    return []
-    for i in range(n, m):
-        if urho[i] % 1 != 0 or any(ub[i][j] for j in range(kp)):
-            return []
-
-    def vmul_tor(y):
-        return [sum(Fraction(v[i][j]) * y[j] for j in range(n)) % 1 for i in range(n)]
-
-    base_tor = vmul_tor(y_base_tor)
-    base_exps = [
-        [sum(Fraction(v[i][j]) * y_param[j][jj] for j in range(n)) for jj in range(kp)]
-        for i in range(n)
-    ]
-    particular = tuple(UnitScalar(base_tor[i], base_exps[i]) for i in range(n))
+    Additively the system is C*y = r, with C the rows' counts and one
+    column of r per component of the right-hand sides: column 0 the
+    torsion, read modulo 1, and column 1 + j the exponent of parameter j.
+    With U*C*V = S diagonal, every column is solved at once: a row i whose
+    s_i is 0 is consistent when (U*r)_i is an integer in column 0 and 0 in
+    the others, x_i = (U*r)_i / s_i otherwise, and y = V*x.  The free
+    directions are the columns of V at the zero s_i, and the torsion cosets
+    are V*x for x_i = j/s_i, 0 <= j < s_i."""
+    n, m = sys.n, len(sys.rows)
+    s, u, v = diagonalize_integer_matrix([list(counts) for counts, _ in sys.rows])
+    ur = matmul(u, [[rhs.tor, *rhs.exps] for _, rhs in sys.rows])
+    diag = [s[i][i] if i < min(m, n) else 0 for i in range(max(m, n))]
+    if any(not si and (ri[0] % 1 or any(ri[1:])) for si, ri in zip(diag, ur)):
+        return []
+    x = [[c / diag[i] for c in ur[i]] if diag[i] else [Fraction(0)] * len(ur[0]) for i in range(n)]
+    particular = tuple(UnitScalar(yi[0], yi[1:]) for yi in matmul(v, x))
+    coset_slots = [(i, si) for i, si in enumerate(diag[:n]) if si > 1]
+    free_slots = [i for i, si in enumerate(diag[:n]) if not si]
 
     directions = []
     for d, slot in enumerate(free_slots):
         vec = [v[i][slot] for i in range(n)]
-        lead = next((x for x in vec if x), 1)
+        lead = next((e for e in vec if e), 1)
         if lead < 0:
-            vec = [-x for x in vec]
+            vec = [-e for e in vec]
         directions.append((f"l{d + 1}", tuple(vec)))
 
-    total = 1
-    for _, mod in coset_slots:
-        total *= mod
+    total = prod(mod for _, mod in coset_slots)
     if total > COSET_CAP:
         raise SolveError(f"torsion multiplicity {total} exceeds cap {COSET_CAP}")
 
@@ -293,10 +259,10 @@ def solve_units(sys: ConstraintSystem, w_digest: str = "") -> list[SolutionFamil
     # coset slot (j - j')/s is an integer, which forces j = j'.
     cosets = []
     for choice in itertools.product(*[range(mod) for _, mod in coset_slots]):
-        y = [Fraction(0)] * n
+        x = [[Fraction(0)] for _ in range(n)]
         for (slot, mod), j in zip(coset_slots, choice):
-            y[slot] = Fraction(j, mod)
-        cosets.append(tuple(vmul_tor(y)))
+            x[slot] = [Fraction(j, mod)]
+        cosets.append(tuple(yi % 1 for (yi,) in matmul(v, x)))
     family = SolutionFamily(
         params=sys.params,
         n=n,

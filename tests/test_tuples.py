@@ -98,17 +98,17 @@ def test_solver_poly_free_direction():
 
 
 def test_solver_inconsistent_system_is_empty():
-    # p_1 = -1 forced alongside p_1 = 1 via an artificial system
-    from normext.tuples import ConstraintSystem
-
-    rows = (
-        ((1, 0), UnitScalar.one(0)),
-        ((2, 0), UnitScalar.minus_one(0)),
-    )
-    sys1 = ConstraintSystem(
-        nparams=0, params=(), n=2, k=0, rows=rows, labels=("a", "b")
-    )
-    assert solve_units(sys1) == []
+    # p_1 = 1 and p_1^2 = -1 clash in the torsion; p_1 = a and p_1^2 = a
+    # clash in the exponent of a
+    a = UnitScalar.param(0, 1)
+    for params, rows in (
+        ((), (((1, 0), UnitScalar.one(0)), ((2, 0), UnitScalar.minus_one(0)))),
+        (("a",), (((1, 0), a), ((2, 0), a))),
+    ):
+        sys1 = ConstraintSystem(
+            nparams=len(params), params=params, n=2, k=0, rows=rows, labels=("a", "b")
+        )
+        assert solve_units(sys1) == []
 
 
 def test_is_good_examples():
@@ -337,3 +337,36 @@ def test_matrix_system_refuses_an_omitted_index_out_of_range():
             matrix_goodness_system(SP_POLY, k)
         with pytest.raises(SolveError):
             goodness_system(SP_POLY, k)
+
+
+# -- the solver against the system, point by point ------------------------------
+
+
+def test_random_solution_sets_are_exactly_the_solutions_on_a_grid():
+    """n <= 3 unknowns, at most 3 rows with counts 0..3 and torsion
+    right-hand sides in (1/12)Z, no parameters.  On the grid
+    ((1/12)Z/Z)^n a tuple lies in a returned family exactly when it solves
+    the system: the families are sound and complete, and [] is returned
+    only for a system with no solution there."""
+    rng = random.Random(26)
+    twelfths = [UnitScalar(Fraction(j, 12)) for j in range(12)]
+    grids = {n: list(itertools.product(twelfths, repeat=n)) for n in (1, 2, 3)}
+    solved = empty = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        rows = tuple(
+            (tuple(rng.randint(0, 3) for _ in range(n)), UnitScalar(Fraction(rng.randrange(12), 12)))
+            for _ in range(rng.randint(1, 3))
+        )
+        system = ConstraintSystem(
+            nparams=0, params=(), n=n, k=0, rows=rows, labels=tuple("r" * len(rows))
+        )
+        try:
+            fams = solve_units(system)
+        except ScalarError:  # a particular solution beyond the exponent cap
+            continue
+        solved += bool(fams)
+        empty += not fams
+        for t in grids[n]:
+            assert any(f.contains(t) for f in fams) == system.check_member(t), (rows, t)
+    assert solved >= 20 and empty >= 20, (solved, empty)

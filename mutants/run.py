@@ -172,6 +172,13 @@ MUTANTS = [
         "ri[0] % 1",
         (T + "test_solver_inconsistent_system_is_empty",),
     ),
+    # torsion cosets past the exponent cap returned unchecked
+    Mutant(
+        "tuples.py",
+        "            if e.denominator > MAX_EXP_DENOM:\n",
+        "            if False:\n",
+        (T + "test_solver_refuses_cosets_past_the_exponent_cap",),
+    ),
     # the last label of an exponent vector kept
     Mutant(
         "tuples.py",
@@ -296,6 +303,13 @@ MUTANTS = [
         "        if value < 0:\n",
         "        if value < -1:\n",
         ("tests/test_cli.py::test_negative_bound_is_an_input_error",),
+    ),
+    # a sidecar's 'good' lists taken without checking their entries
+    Mutant(
+        "cli.py",
+        "k.isdigit() and isinstance(v, list) and all(isinstance(t, str) for t in v)",
+        "k.isdigit() and isinstance(v, list)",
+        ("tests/test_cli.py::test_tables_missing_sidecar",),
     ),
     # the superpotential's r.x_i rows given a block-0 copy
     Mutant(

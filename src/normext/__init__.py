@@ -24,7 +24,7 @@ The public surface mirrors the module layout:
 from .certify import build_extension, full_certificate
 from .dsl import parse_algebra, parse_algebra_file, parse_poly, print_poly
 from .freealg import Context, FreeElement
-from .quotient import Presentation, hilbert_table, ideal_basis, membership, normal_form
+from .quotient import Presentation, hilbert_table
 from .scalars import Assignment, Scalar, UnitScalar
 from .superpotential import (
     DiagonalMap,
@@ -33,7 +33,6 @@ from .superpotential import (
     cyclic_derivatives,
     eigen_scale,
     superpotential_from_relations,
-    twist_of,
 )
 from .tuples import goodness_system, is_good, solve_units
 
@@ -55,15 +54,11 @@ __all__ = [
     "full_certificate",
     "goodness_system",
     "hilbert_table",
-    "ideal_basis",
     "is_good",
-    "membership",
-    "normal_form",
     "parse_algebra",
     "parse_algebra_file",
     "parse_poly",
     "print_poly",
     "solve_units",
     "superpotential_from_relations",
-    "twist_of",
 ]

@@ -237,6 +237,14 @@ def load_corpus(dirpath: Path) -> list[CorpusEntry]:
                 expect = json.load(fh)
             except json.JSONDecodeError as e:
                 raise DslError(f"corpus sidecar {sidecar.name}: {e}") from None
+        if not isinstance(expect, dict):
+            raise DslError(f"corpus sidecar {sidecar.name}: the top level must be an object")
+        good = expect.get("good", {})
+        if not isinstance(good, dict) or not all(
+            k.isdigit() and isinstance(v, list) and all(isinstance(t, str) for t in v)
+            for k, v in good.items()
+        ):
+            raise DslError(f"corpus sidecar {sidecar.name}: 'good' must map indices to lists of strings")
         entries.append(CorpusEntry(alg.stem, parse_algebra_file(alg), expect))
     if not entries:
         raise DslError(f"no corpus entries found in {dirpath}")
@@ -270,8 +278,6 @@ def tables_report(corpus_dir: Path) -> tuple[dict, bool]:
         sp = _symbolic_superpotential(af, None)
         digest = w_hash(sp.w)
         good = entry.expect.get("good", {})
-        if not all(k.isdigit() for k in good):
-            raise DslError(f"corpus sidecar of {entry.name}: 'good' keys must be indices")
         ks = sorted(int(k) for k in good) if good else list(range(1, sp.n + 1))
         entry_rows = []
         for k in ks:

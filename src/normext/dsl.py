@@ -314,8 +314,7 @@ class AlgebraFile:
     roots: dict = field(default_factory=dict)  # (param, q) -> Scalar
 
     def context(self) -> Context:
-        mode = "unit" if self.params else "field"
-        return Context(self.gens, self.conductor, self.params, mode)
+        return Context(self.gens, self.conductor, self.params)
 
     def assignment(self, assign_text: str | None = None) -> Assignment | None:
         """The file's values and roots, overridden by ``assign_text``

@@ -29,7 +29,7 @@ from .certify import build_extension
 from .dsl import print_poly, scalar_text
 from .freealg import AlgebraError, FreeElement, gens, matmul
 from .linalg import same_span, solve
-from .quotient import Presentation, hilbert_table, membership
+from .quotient import GradedQuotient, Presentation, hilbert_table
 from .scalars import Scalar
 from .superpotential import DiagonalMap, Superpotential, eigen_scale
 
@@ -85,12 +85,13 @@ def ideal_components_match(pa: Presentation, pb: Presentation, degrees) -> bool:
     mutual membership of the generators pins the components exactly.
     """
     dmax = max(degrees)
-    dims_a, dims_b = hilbert_table(pa, dmax, "la").dims, hilbert_table(pb, dmax, "la").dims
+    qa, qb = GradedQuotient(pa, "la"), GradedQuotient(pb, "la")
+    dims_a, dims_b = qa.dims(dmax), qb.dims(dmax)
     if any(dims_a[d] != dims_b[d] for d in degrees):
         return False
     return all(
-        membership(r, other, "la")
-        for pres, other in ((pa, pb), (pb, pa))
+        other.contains(r)
+        for pres, other in ((pa, qb), (pb, qa))
         for r in pres.relations
         if r.degree <= dmax
     )

@@ -35,22 +35,22 @@ class CoefficientModeError(AlgebraError):
 
 
 class Context:
-    """Generator names, conductor, parameter list, and coefficient mode."""
+    """Generator names, conductor and parameter list.  The coefficient mode
+    follows from the parameters: "unit" (UnitScalar coefficients) when there
+    are any, "field" (Scalar coefficients in Q(zeta_N)) otherwise."""
 
     __slots__ = ("gens", "conductor", "params", "mode")
 
-    def __init__(self, gens, conductor: int = 1, params=(), mode: str = "field"):
+    def __init__(self, gens, conductor: int = 1, params=()):
         gens = tuple(gens)
         if len(set(gens)) != len(gens):
             raise AlgebraError("generator names must be distinct")
         if not gens:
             raise AlgebraError("need at least one generator")
-        if mode not in ("field", "unit"):
-            raise AlgebraError(f"unknown coefficient mode {mode!r}")
         self.gens = gens
         self.conductor = conductor
         self.params = tuple(params)
-        self.mode = mode
+        self.mode = "unit" if self.params else "field"
 
     @property
     def n(self) -> int:
@@ -62,11 +62,10 @@ class Context:
             and self.gens == other.gens
             and self.conductor == other.conductor
             and self.params == other.params
-            and self.mode == other.mode
         )
 
     def __hash__(self) -> int:
-        return hash((self.gens, self.conductor, self.params, self.mode))
+        return hash((self.gens, self.conductor, self.params))
 
     def __repr__(self) -> str:
         return (
@@ -97,7 +96,7 @@ class Context:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
     def field_context(self) -> "Context":
-        return Context(self.gens, self.conductor, (), "field")
+        return Context(self.gens, self.conductor)
 
 
 def word_key(w: Word):

@@ -24,18 +24,17 @@ through degree d, and ``dims``, ``normal_words`` and ``normal_form`` each
 extend to the degree they need first, so an answer never depends on what
 was asked before.
 
-``GradedQuotient`` is the one interface the certificates are written
-against: it runs either engine, or both, comparing every dimension,
-normal-word list and normal form and raising on disagreement.
-``hilbert_table``, ``membership`` (``contains``) and ``normal_form`` are
-thin calls on it.
+``GradedQuotient`` is the one way into the engines, and the interface the
+certificates are written against: it runs either engine, or both,
+comparing every dimension, normal-word list and normal form and raising on
+disagreement.  ``hilbert_table`` is the one call on it, and builds the
+``DegreeTable`` report.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 
 from .freealg import AlgebraError, CoefficientModeError, Context, FreeElement, word_key
 from .linalg import RowReducer
@@ -219,12 +218,6 @@ class LinearEngine:
             self.extend(d)
         return self.levels[d]
 
-    def _element(self, row: dict, word) -> FreeElement:
-        """The element whose terms are row's, each code read by word()."""
-        out = FreeElement(self.pres.ctx)
-        out.terms = {word(c): v for c, v in row.items()}
-        return out
-
     def _standard_words(self, d: int) -> tuple[list[tuple], dict[int, tuple]]:
         """The standard words of degree d, in deglex order, and the table
         from each one's code to it: built together on the first request."""
@@ -245,17 +238,12 @@ class LinearEngine:
         n, conductor = self.pres.ctx.n, self.pres.ctx.conductor
         row = {word_code(w, n): c.promote(conductor) for w, c in f.terms.items()}
         nf = self._level(d).normal_form(row)
-        if not nf:  # a degree whose forms are all zero builds no table
-            return FreeElement(self.pres.ctx)
-        # every term is a standard word: read it from the table of degree d
-        return self._element(nf, self._standard_words(d)[1].__getitem__)
-
-    def ideal_basis(self, d: int) -> list[FreeElement]:
-        """The pivot rows of degree d.  Their leads are not standard words,
-        so each code goes through ``code_word``."""
-        pivots = self._level(d).pivots
-        word = partial(code_word, n=self.pres.ctx.n)
-        return [self._element(pivots[lead], word) for lead in sorted(pivots)]
+        out = FreeElement(self.pres.ctx)
+        if nf:  # a degree whose forms are all zero builds no table
+            # every term is a standard word: read it from the table of degree d
+            table = self._standard_words(d)[1]
+            out.terms = {table[c]: v for c, v in nf.items()}
+        return out
 
 
 _LA_CACHE: dict[str, LinearEngine] = {}
@@ -270,12 +258,6 @@ def _engine(cache: dict, cls, pres: Presentation):
     return eng
 
 
-def ideal_basis(pres: Presentation, d: int) -> list[FreeElement]:
-    """Echelonized basis of the degree-d component of the ideal (R)."""
-    pres.require_field()
-    return _engine(_LA_CACHE, LinearEngine, pres).ideal_basis(d)
-
-
 class GradedQuotient:
     """Dimensions, normal words and normal forms of TV/(R), in any degree.
 
@@ -288,7 +270,6 @@ class GradedQuotient:
     """
 
     def __init__(self, pres: Presentation, engine: str = "both") -> None:
-        pres.require_field()
         if engine not in ("la", "gb", "both"):
             raise ValueError(f"unknown engine {engine!r}")
         self.pres = pres
@@ -328,14 +309,3 @@ def hilbert_table(pres: Presentation, bound: int, engine: str = "both") -> Degre
     q = GradedQuotient(pres, engine)
     return DegreeTable(label=q.label, bound=bound, dims=tuple(q.dims(bound)), engine=engine)
 
-
-def membership(f: FreeElement, pres: Presentation, engine: str = "gb") -> bool:
-    """Does f lie in the two-sided ideal (R)?"""
-    f.require_homogeneous("membership")
-    return GradedQuotient(pres, engine).contains(f)
-
-
-def normal_form(f: FreeElement, pres: Presentation) -> FreeElement:
-    """Deglex normal form of f modulo (R), from the rewriting system."""
-    f.require_homogeneous("normal form")
-    return GradedQuotient(pres, "gb").normal_form(f)

@@ -98,11 +98,6 @@ def cyclic_derivatives(w: FreeElement) -> list[FreeElement]:
     return [w.left_derivative(i) for i in range(w.ctx.n)]
 
 
-def twist_of(w: FreeElement) -> DiagonalMap:
-    """The unique diagonal Q with g_i = q_i f_i, or TwistError."""
-    return Superpotential(w).twist
-
-
 class Superpotential:
     """A recognized twisted superpotential with its derivative bundles f, g
     and its twist Q, each derived once from w."""

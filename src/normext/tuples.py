@@ -24,7 +24,7 @@ from math import prod
 from .dsl import print_poly
 from .freealg import AlgebraError, FreeElement, matmul
 from .linalg import diagonalize_integer_matrix
-from .scalars import UnitScalar, unit_from_scalar
+from .scalars import MAX_EXP_DENOM, UnitExponentError, UnitScalar, unit_from_scalar
 from .superpotential import (
     DiagonalMap,
     NotEigenvectorError,
@@ -44,7 +44,6 @@ class SolveError(ValueError):
 class ConstraintSystem:
     """Multiplicative equations prod_i p_i^{c_ei} = rhs_e."""
 
-    nparams: int
     params: tuple
     n: int
     k: int  # omitted index, 0-based
@@ -53,7 +52,7 @@ class ConstraintSystem:
 
     def check_member(self, units) -> bool:
         for counts, rhs in self.rows:
-            acc = UnitScalar.one(self.nparams)
+            acc = UnitScalar.one(len(self.params))
             for i, c in enumerate(counts):
                 if c:
                     acc = acc * units[i].pow(c)
@@ -89,7 +88,6 @@ def _system(sp: Superpotential, k: int, monomials) -> ConstraintSystem:
     for counts, label in monomials:
         labels.setdefault(counts, label)
     return ConstraintSystem(
-        nparams=len(q[k].exps),
         params=sp.ctx.params,
         n=n,
         k=k,
@@ -229,7 +227,9 @@ def solve_units(sys: ConstraintSystem, w_digest: str = "") -> list[SolutionFamil
     s_i is 0 is consistent when (U*r)_i is an integer in column 0 and 0 in
     the others, x_i = (U*r)_i / s_i otherwise, and y = V*x.  The free
     directions are the columns of V at the zero s_i, and the torsion cosets
-    are V*x for x_i = j/s_i, 0 <= j < s_i."""
+    are V*x for x_i = j/s_i, 0 <= j < s_i.  A coset entry, or a member's
+    torsion, past ``MAX_EXP_DENOM`` raises ``UnitExponentError`` here
+    rather than when the family is printed or compared."""
     n, m = sys.n, len(sys.rows)
     s, u, v = diagonalize_integer_matrix([list(counts) for counts, _ in sys.rows])
     ur = matmul(u, [[rhs.tor, *rhs.exps] for _, rhs in sys.rows])
@@ -262,7 +262,13 @@ def solve_units(sys: ConstraintSystem, w_digest: str = "") -> list[SolutionFamil
         x = [[Fraction(0)] for _ in range(n)]
         for (slot, mod), j in zip(coset_slots, choice):
             x[slot] = [Fraction(j, mod)]
-        cosets.append(tuple(yi % 1 for (yi,) in matmul(v, x)))
+        coset = tuple(yi % 1 for (yi,) in matmul(v, x))
+        for e in (*coset, *(p.tor + c for p, c in zip(particular, coset))):
+            if e.denominator > MAX_EXP_DENOM:
+                raise UnitExponentError(
+                    f"exponent denominator {e.denominator} exceeds cap {MAX_EXP_DENOM}"
+                )
+        cosets.append(coset)
     family = SolutionFamily(
         params=sys.params,
         n=n,

@@ -573,7 +573,7 @@ def reversed_letters(spec):
     """spec with its generators in reverse order: x_i becomes x_{n-1-i},
     and w, p and k are carried along."""
     ctx, n = spec.ctx, spec.n
-    rctx = Context(tuple(reversed(ctx.gens)), ctx.conductor, ctx.params, ctx.mode)
+    rctx = Context(tuple(reversed(ctx.gens)), ctx.conductor, ctx.params)
     w = FreeElement(rctx, {tuple(n - 1 - a for a in word): c for word, c in spec.sp.w.terms.items()})
     return build_extension(Superpotential(w), tuple(reversed(spec.p)), n - 1 - spec.k, label=spec.label)
 

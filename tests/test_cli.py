@@ -313,10 +313,18 @@ def test_tables_command(capsys):
 
 
 def test_tables_missing_sidecar(tmp_path, capsys):
-    (tmp_path / "orphan.alg").write_text(
-        "algebra orphan\nfield cyclotomic 1\ngens x, y\nw = x*y*y ;\n"
-    )
-    assert run(["tables", str(tmp_path)]) == 2
+    """A missing sidecar, or one whose top level is not an object or whose
+    'good' does not map indices to lists of strings, is an input error."""
+    for i, sidecar in enumerate([None, "[]", '{"good": ["1"]}', '{"good": {"1": [5]}}']):
+        corpus = tmp_path / str(i)
+        corpus.mkdir()
+        # a valid superpotential, so only the sidecar can stop the run
+        (corpus / "w_poly.alg").write_text(Path(W_POLY).read_text())
+        if sidecar is not None:
+            (corpus / "w_poly.expect.json").write_text(sidecar)
+        assert run(["tables", str(corpus)]) == 2, sidecar
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sidecar" in err and "Traceback" not in err, (sidecar, err)
 
 
 def test_tables_dotted_entry_reads_its_own_sidecar(tmp_path, capsys):

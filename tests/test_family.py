@@ -99,7 +99,7 @@ def test_a_fiber_of_dependent_derivatives_is_refused():
 def test_fiber_guards():
     with pytest.raises(FamilyError):
         fiber(SP, (ZERO, ZERO, ZERO))
-    uc = Context(("x", "y"), 12, ("alpha",), "unit")
+    uc = Context(("x", "y"), 12, ("alpha",))
     w = parse_poly("x*x*y*y + alpha*x*y*y*x + alpha^{2}*y*y*x*x - alpha*y*x*x*y", uc)
     from normext.scalars import Assignment
 
@@ -134,7 +134,7 @@ def test_flatness_probe_needs_two_points():
 
 
 def test_zhang_twist_examples():
-    uctx = Context(("x", "y"), 1, ("s", "u"), "unit")
+    uctx = Context(("x", "y"), 1, ("s", "u"))
     sig = DiagonalMap(uctx, (UnitScalar.param(0, 2), UnitScalar.param(1, 2)))
     assert print_poly(zhang_twist(parse_poly("x*y", uctx), sig)) == "u*x*y"
     assert print_poly(zhang_twist(parse_poly("x*x*x", uctx), sig)) == "s^{3}*x*x*x"

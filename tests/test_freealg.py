@@ -36,7 +36,7 @@ def test_parse_antisymmetrizer():
 
 
 def test_parse_unit_mode_quartic():
-    ctx = Context(("x", "y"), 12, ("a",), "unit")
+    ctx = Context(("x", "y"), 12, ("a",))
     g = parse_poly("x*x*y*y + a*x*y*y*x", ctx)
     assert g.coeff((0, 1, 1, 0)) == UnitScalar(0, (Fraction(1),))
 
@@ -50,7 +50,7 @@ def test_parse_error_positions():
 
 
 def test_unit_mode_rejects_nonunit_rational():
-    ctx = Context(("x", "y"), 12, ("a",), "unit")
+    ctx = Context(("x", "y"), 12, ("a",))
     with pytest.raises(DslError):
         parse_poly("2*x*y", ctx)
 
@@ -158,7 +158,7 @@ def test_print_parse_roundtrip_randomized():
 
 
 def test_print_parse_roundtrip_unit_mode():
-    ctx = Context(("x", "y"), 12, ("a", "b"), "unit")
+    ctx = Context(("x", "y"), 12, ("a", "b"))
     f = parse_poly("x*y - a^{-1/2}*y*x + e(1/3)*b*x*x", ctx)
     assert parse_poly(print_poly(f), ctx) == f
 
@@ -172,7 +172,7 @@ def test_homogeneity_guards():
 
 
 def test_unit_addition_only_cancels():
-    ctx = Context(("x", "y"), 12, ("a",), "unit")
+    ctx = Context(("x", "y"), 12, ("a",))
     f = parse_poly("a*x*y", ctx)
     g = parse_poly("-a*x*y", ctx)
     assert (f + g).is_zero()
@@ -183,7 +183,7 @@ def test_unit_addition_only_cancels():
 def test_specialize_element():
     from normext.scalars import Assignment
 
-    ctx = Context(("x", "y"), 12, ("a",), "unit")
+    ctx = Context(("x", "y"), 12, ("a",))
     f = parse_poly("x*y + a*y*x", ctx)
     asg = Assignment(("a",), {"a": 4}, conductor=12)
     g = f.specialize(asg)

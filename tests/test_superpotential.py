@@ -20,12 +20,11 @@ from normext.superpotential import (
     cyclic_derivatives,
     eigen_scale,
     superpotential_from_relations,
-    twist_of,
 )
 
 CTX = Context(("x", "y", "z"), 1)
 W_POLY = parse_poly("x*y*z + y*z*x + z*x*y - x*z*y - z*y*x - y*x*z", CTX)
-UCTX = Context(("x", "y"), 12, ("alpha",), "unit")
+UCTX = Context(("x", "y"), 12, ("alpha",))
 W_S2 = parse_poly("x*x*y*y + alpha*x*y*y*x + alpha^{2}*y*y*x*x - alpha*y*x*x*y", UCTX)
 
 
@@ -49,11 +48,11 @@ def test_cyclic_derivatives_corner():
 
 
 def test_twist_poly_identity():
-    assert twist_of(W_POLY).is_identity()
+    assert Superpotential(W_POLY).twist.is_identity()
 
 
 def test_twist_s2():
-    q = twist_of(W_S2)
+    q = Superpotential(W_S2).twist
     assert q.scales[0] == UnitScalar(0, (Fraction(1),))  # alpha
     assert q.scales[1] == UnitScalar(Fraction(1, 2), (Fraction(-1),))  # -alpha^{-1}
     assert not q.is_identity()
@@ -61,7 +60,7 @@ def test_twist_s2():
 
 def test_twist_error():
     with pytest.raises(TwistError):
-        twist_of(parse_poly("x*y", UCTX))
+        Superpotential(parse_poly("x*y", UCTX))
 
 
 def _strip_oracle(w):

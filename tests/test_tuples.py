@@ -10,7 +10,7 @@ from normext.cli import default_corpus_path, load_corpus
 from normext.dsl import parse_poly, parse_unit
 from normext.freealg import Context
 from normext.linalg import RowReducer, diagonalize_integer_matrix
-from normext.scalars import Assignment, Scalar, ScalarError, UnitScalar
+from normext.scalars import Assignment, Scalar, ScalarError, UnitExponentError, UnitScalar
 from normext.superpotential import Superpotential
 from normext.tuples import (
     ConstraintSystem,
@@ -28,11 +28,11 @@ CTX = Context(("x", "y", "z"), 1)
 W_POLY = parse_poly("x*y*z + y*z*x + z*x*y - x*z*y - z*y*x - y*x*z", CTX)
 SP_POLY = Superpotential(W_POLY)
 
-UCTX = Context(("x", "y"), 12, ("alpha",), "unit")
+UCTX = Context(("x", "y"), 12, ("alpha",))
 W_S2 = parse_poly("x*x*y*y + alpha*x*y*y*x + alpha^{2}*y*y*x*x - alpha*y*x*x*y", UCTX)
 SP_S2 = Superpotential(W_S2)
 
-SCTX = Context(("x", "y", "z"), 3, ("a", "b", "c"), "unit")
+SCTX = Context(("x", "y", "z"), 3, ("a", "b", "c"))
 W_SKLY = parse_poly(
     "a*x*y*z + a*y*z*x + a*z*x*y + b*x*z*y + b*z*y*x + b*y*x*z"
     " + c*x*x*x + c*y*y*y + c*z*z*z",
@@ -40,7 +40,7 @@ W_SKLY = parse_poly(
 )
 SP_SKLY = Superpotential(W_SKLY)
 
-HCTX = Context(("x", "y"), 1, ("a", "b", "c"), "unit")
+HCTX = Context(("x", "y"), 1, ("a", "b", "c"))
 W_CUBIC_A = parse_poly(
     "a*x*x*y*y + a*y*y*x*x + a*x*y*y*x + a*y*x*x*y + b*x*y*x*y + b*y*x*y*x"
     " + c*x*x*x*x + c*y*y*y*y",
@@ -105,10 +105,16 @@ def test_solver_inconsistent_system_is_empty():
         ((), (((1, 0), UnitScalar.one(0)), ((2, 0), UnitScalar.minus_one(0)))),
         (("a",), (((1, 0), a), ((2, 0), a))),
     ):
-        sys1 = ConstraintSystem(
-            nparams=len(params), params=params, n=2, k=0, rows=rows, labels=("a", "b")
-        )
+        sys1 = ConstraintSystem(params=params, n=2, k=0, rows=rows, labels=("a", "b"))
         assert solve_units(sys1) == []
+
+
+def test_solver_refuses_cosets_past_the_exponent_cap():
+    """p^13 = 1 has the 13 cosets j/13; the cap of 12 on exponent
+    denominators refuses them in the solver, not later in to_json."""
+    system = ConstraintSystem(params=(), n=1, k=0, rows=(((13,), UnitScalar.one()),), labels=("r",))
+    with pytest.raises(UnitExponentError, match="exponent denominator 13 exceeds cap 12"):
+        solve_units(system)
 
 
 def test_is_good_examples():
@@ -183,7 +189,7 @@ def test_identity_tuple_good_for_identity_twist_all_k():
 
 def test_twist_power_tuples_good_when_q1_is_one():
     # three-generator skew family tuned to q = (1, b, b^{-1})
-    ctx = Context(("x", "y", "z"), 12, ("b",), "unit")
+    ctx = Context(("x", "y", "z"), 12, ("b",))
     w = parse_poly(
         "x*y*z + y*z*x + b*z*x*y - b*x*z*y - b*z*y*x - y*x*z", ctx
     )
@@ -304,7 +310,7 @@ def test_random_solutions_have_distinct_cosets():
             for _ in range(rng.randint(1, 5))
         )
         system = ConstraintSystem(
-            nparams=0, params=(), n=n, k=0, rows=rows, labels=tuple("r" * len(rows))
+            params=(), n=n, k=0, rows=rows, labels=tuple("r" * len(rows))
         )
         try:
             fams = solve_units(system)
@@ -359,11 +365,11 @@ def test_random_solution_sets_are_exactly_the_solutions_on_a_grid():
             for _ in range(rng.randint(1, 3))
         )
         system = ConstraintSystem(
-            nparams=0, params=(), n=n, k=0, rows=rows, labels=tuple("r" * len(rows))
+            params=(), n=n, k=0, rows=rows, labels=tuple("r" * len(rows))
         )
         try:
             fams = solve_units(system)
-        except ScalarError:  # a particular solution beyond the exponent cap
+        except ScalarError:  # a solution beyond the exponent cap
             continue
         solved += bool(fams)
         empty += not fams

@@ -290,6 +290,27 @@ MUTANTS = [
         "red.pivots[next(iter(row))] = row",
         (Q + "test_resource_limit_is_loud",),
     ),
+    # LA rows skipped by the row's own code instead of its prefix's
+    Mutant(
+        "quotient.py",
+        "if k and (v - 1) // n * nrel + j in known:",
+        "if k and v // n * nrel + j in known:",
+        (Q + "test_every_skipped_row_reduces_to_zero_in_the_reference",),
+    ),
+    # an LA relation row recorded as zero although it enlarged the span
+    Mutant(
+        "quotient.py",
+        "if row is None or not red.insert(row):",
+        "if row is None or red.insert(row):",
+        (Q + "test_every_skipped_row_reduces_to_zero_in_the_reference",),
+    ),
+    # an inhomogeneous element reduced by the rewriting engine
+    Mutant(
+        "rewriting.py",
+        '            raise HomogeneityError("normal form requires a homogeneous element")',
+        "            pass",
+        (Q + "test_an_inhomogeneous_element_is_refused_by_every_engine[gb]",),
+    ),
     # a degree-0 relation accepted
     Mutant(
         "quotient.py",

@@ -10,7 +10,12 @@ normal forms:
   of r * T_k already lies in V * I_{d-1}.  The first summand arrives
   pre-echelonized (prefixing a fixed letter preserves deglex among
   same-degree words), so only the relation-tail rows need reduction, and
-  there are |R| * dim A_k of them instead of |R| * n^k.  Normal words are
+  there are |R| * dim A_k of them instead of |R| * n^k.  A relation row
+  r_j * v whose prefix row r_j * v' (v = v'x_a) lay in the span of the rows
+  before it at the level below is skipped: a syzygy stays a syzygy after
+  right multiplication, so the row is in the span of the rows before it
+  too (the free-algebra, Macaulay-matrix form of Faugere's F5 syzygy
+  criterion; the proof is at ``_relation_rows``).  Normal words are
   the standard words, listed once per level from the level below, and a
   normal form is a full reduction against the echelon basis.  Rows are
   keyed by ``word_code``, the bijective base-n numeral of a word: integer
@@ -163,21 +168,37 @@ class LinearEngine:
         # code 0, is standard
         self.levels: list[RowReducer] = [RowReducer(entry_limit=entry_limit)]
         self.standard: list[list[int]] = [[0]]  # codes of each level's standard words, ascending
+        self._zero: set[int] = set()  # keys of the top level's relation rows known to be zero
         # degree -> its standard words and their code -> word table, once asked for
         self._words: dict[int, tuple[list[tuple], dict[int, tuple]]] = {}
 
-    def _relation_rows(self, d: int):
-        """Rows r * v for each relation r and standard word v of degree
-        k = d - deg r, in increasing order of v.
+    def _relation_rows(self, d: int, known: set):
+        """(key, row) for each relation row r_j * v of level d: relations
+        in order, then the standard words v of degree k = d - deg r_j in
+        increasing order, with key = code(v) * |R| + j.  row is None when
+        the row is known to lie in the span of the rows before it; known
+        holds the keys of level d-1 known so.
 
-        A word v that is a pivot of level k is skipped: modulo I_k it is a
-        combination of smaller words, and writing r = sum_i x_i r'_i gives
+        A word v that is a pivot of level k is not offered: modulo I_k it is
+        a combination of smaller words, and writing r = sum_i x_i r'_i gives
         r * I_k in V * I_{d-1}, which is already inserted.  So r * v lies in
-        the span of the rows inserted before it and would reduce to zero;
-        skipping it changes neither the span nor any pivot row.
+        the span of V * I_{d-1} and the rows (j, y) with y < v standard.
+
+        Row (j, v x_a) with k >= 1 is known to lie in the span when its
+        prefix row (j, v) at level d-1 is in known.  Write r_j v = g + sum
+        c * r_j' v'' with g in V * I_{d-2} and (j', v'') before (j, v), and
+        multiply on the right by x_a.  g x_a lies in V * I_{d-1}, the
+        shifted part of level d.  If v'' x_a is standard, (j', v'' x_a)
+        comes before (j, v x_a): the relations keep their order at every
+        level, and v'' < v in one degree gives v'' x_a < v x_a.  If it is
+        not, the paragraph above puts r_j' v'' x_a in V * I_{d-1} plus rows
+        (j', y) with y < v'' x_a standard.  A skipped row would have reduced
+        to zero and stored nothing, so the span, the pivots and every pivot
+        row are those of inserting it.  ``(v - 1) // n`` is the code of v's
+        prefix.
         """
-        n = self.pres.ctx.n
-        for r in self.pres.relations:
+        n, nrel = self.pres.ctx.n, len(self.pres.relations)
+        for j, r in enumerate(self.pres.relations):
             k = d - r.degree
             if k < 0:
                 continue
@@ -185,7 +206,10 @@ class LinearEngine:
             # code(u.v) = code(u) * n^k + code(v)
             scaled = [(word_code(u, n) * n**k, c) for u, c in terms]
             for v in self.standard[k]:
-                yield {code + v: c for code, c in scaled}
+                if k and (v - 1) // n * nrel + j in known:
+                    yield v * nrel + j, None
+                else:
+                    yield v * nrel + j, {code + v: c for code, c in scaled}
 
     def extend(self, bound: int) -> None:
         """Build levels through bound.  Level d also lists its standard
@@ -203,8 +227,11 @@ class LinearEngine:
                     # a stored row lists its lead first, and so does the copy
                     row = {c + shift: v for c, v in prev.pivots[lead].items()}
                     red.store(next(iter(row)), row)
-            for row in self._relation_rows(d):
-                red.insert(row)
+            zero = set()  # this level's relation rows known to reduce to zero
+            for key, row in self._relation_rows(d, self._zero):
+                if row is None or not red.insert(row):
+                    zero.add(key)
+            self._zero = zero
             words = [c * n + a for c in self.standard[-1] for a in range(1, n + 1)]
             self.levels.append(red)
             self.standard.append([c for c in words if c not in red.pivots])

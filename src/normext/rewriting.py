@@ -61,7 +61,7 @@ import heapq
 from itertools import count
 from typing import TYPE_CHECKING
 
-from .freealg import FreeElement, word_key
+from .freealg import FreeElement, HomogeneityError, word_key
 from .scalars import Scalar, fms_kernel
 
 if TYPE_CHECKING:
@@ -107,9 +107,12 @@ class GBState:
         return None
 
     def normal_form(self, f: FreeElement) -> FreeElement:
-        """Deglex normal form of f, completing and listing the normal words
-        through its top degree first."""
-        top = max(map(len, f.terms), default=0)
+        """Deglex normal form of the homogeneous f, completing and listing
+        the normal words through its degree first."""
+        degrees = {len(w) for w in f.terms}
+        if len(degrees) > 1:
+            raise HomogeneityError("normal form requires a homogeneous element")
+        top = degrees.pop() if degrees else 0
         if top >= len(self._normal):
             self.normal_words(top)
         return self._normal_form(f)

@@ -11,7 +11,7 @@ from normext import quotient
 from normext.certify import build_extension, full_certificate
 from normext.cli import default_corpus_path
 from normext.dsl import parse_algebra, parse_poly
-from normext.freealg import AlgebraError, CoefficientModeError, Context, FreeElement, word_key
+from normext.freealg import AlgebraError, CoefficientModeError, Context, FreeElement, HomogeneityError, word_key
 from normext.linalg import ResourceLimitError
 from normext.quotient import (
     EngineDisagreementError,
@@ -115,6 +115,16 @@ def test_membership_examples():
     assert GradedQuotient(d, "both").contains(comm)
     assert not GradedQuotient(A_POLY, "both").contains(parse_poly("x*x*x", CTX))
     assert GradedQuotient(A_POLY, "gb").contains(FreeElement.zero(CTX))
+
+
+@pytest.mark.parametrize("engine", ["gb", "la", "both"])
+def test_an_inhomogeneous_element_is_refused_by_every_engine(engine):
+    ctx = Context(("x", "y"), 1)
+    q = GradedQuotient(Presentation(ctx, [parse_poly("x*y - y*x", ctx)], label="poly2"), engine)
+    with pytest.raises(HomogeneityError):
+        q.contains(parse_poly("x + y*x - x*y", ctx))
+    with pytest.raises(HomogeneityError):
+        q.normal_form(parse_poly("x*x + y", ctx))
 
 
 def test_membership_is_linear_randomized():
@@ -299,15 +309,23 @@ def test_word_codes_are_the_deglex_ranks(n):
 
 
 class UnprunedEngine(LinearEngine):
-    """Reference engine that offers r * v for every word v, standard or not."""
+    """Reference engine that offers r * v for every word v, standard or not,
+    and never skips a row."""
 
-    def _relation_rows(self, d):
-        n = self.pres.ctx.n
-        for r in self.pres.relations:
+    def _relation_rows(self, d, known):
+        n, nrel = self.pres.ctx.n, len(self.pres.relations)
+        for j, r in enumerate(self.pres.relations):
             if r.degree > d:
                 continue
             for v in product(range(n), repeat=d - r.degree):  # increasing code
-                yield {word_code(u + v, n): c for u, c in r.terms.items()}
+                yield word_code(v, n) * nrel + j, {word_code(u + v, n): c for u, c in r.terms.items()}
+
+
+class ZeroRowsKeptEngine(LinearEngine):
+    """Reference engine: it inserts every relation row, predicted zero or not."""
+
+    def _relation_rows(self, d, known):
+        return super()._relation_rows(d, set())
 
 
 def corpus_presentations(entries):
@@ -354,6 +372,65 @@ def test_standard_word_pruning_keeps_every_level(corpus_entries):
             first = word_code((0,) * d, n)
             scan = [code_word(c, n) for c in range(first, first + n**d) if c not in want.pivots]
             assert pruned.normal_words(d) == scan, (pres.label, d)
+
+
+def assert_same_levels(engine, reference, bound, label):
+    for d in range(bound + 1):
+        assert engine.levels[d].pivots == reference.levels[d].pivots, (label, d)
+
+
+def test_the_zero_row_skip_keeps_every_corpus_level(corpus_entries):
+    """Skipping the rows whose prefix row was known to reduce to zero leaves
+    every pivot row of the engine that inserts them all, at 2m+2 and again
+    after extending to 2m+4."""
+    for pres, bound in corpus_presentations(corpus_entries):
+        m = bound - 3
+        engine, reference = LinearEngine(pres), ZeroRowsKeptEngine(pres)
+        for top in (2 * m + 2, 2 * m + 4):
+            engine.extend(top)
+            reference.extend(top)
+            assert_same_levels(engine, reference, top, (pres.label, top))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_presentations())
+def test_the_zero_row_skip_keeps_random_levels(pres):
+    engine, reference = LinearEngine(pres), ZeroRowsKeptEngine(pres)
+    engine.extend(6)
+    reference.extend(6)
+    assert_same_levels(engine, reference, 6, pres.texts)
+
+
+class SkipRecordingEngine(LinearEngine):
+    """The engine, recording the (degree, key) of every row it skips."""
+
+    def __init__(self, pres):
+        super().__init__(pres)
+        self.skipped = []
+
+    def _relation_rows(self, d, known):
+        for key, row in super()._relation_rows(d, known):
+            if row is None:
+                self.skipped.append((d, key))
+            yield key, row
+
+
+@pytest.mark.parametrize("label", ["sklyanin:k=2:p=(z^2,1,z)", "cubic_a:k=2:p=(-1,1)"])
+def test_every_skipped_row_reduces_to_zero_in_the_reference(corpus_entries, label):
+    """On D at 2m+2 the skip fires, and each row it skips reduces to zero
+    when the reference inserts it in its turn."""
+    entry = corpus_entries[label.split(":")[0]]
+    (k0, ptext, assign, _label), = [inst for inst in field_instances(entry) if inst[3] == label]
+    sp = Superpotential(field_w(entry, assign))
+    spec = build_extension(sp, parse_tuple(ptext, entry.algebra.conductor), k0)
+    engine, reference = SkipRecordingEngine(spec.D), ZeroRowsKeptEngine(spec.D)
+    for d in range(2 * sp.m + 3):
+        engine.extend(d)
+        reference.extend(d)
+        # the reference skips nothing, so its zero keys are the rows whose insert returned False
+        assert {key for deg, key in engine.skipped if deg == d} <= reference._zero, (label, d)
+    assert engine.skipped
+    assert_same_levels(engine, reference, 2 * sp.m + 2, label)
 
 
 @pytest.mark.parametrize("engine", [LinearEngine, GBState], ids=["la", "gb"])
@@ -529,9 +606,13 @@ def test_rewriting_matches_the_reference_scan(completed, data):
         )
         for word in data.draw(st.lists(words, min_size=1, max_size=3)):
             assert gb._find_occurrence(word) == reference_find_occurrence(gb, word)
-        f = FreeElement(ctx, data.draw(st.dictionaries(words, scalars, max_size=6)))
-        want = reference_normal_form(gb, f)
-        assert exact_terms(gb.normal_form(f).terms) == exact_terms(want), gb.pres.label
+        terms = data.draw(st.dictionaries(words, scalars, max_size=6))
+        # the rules are homogeneous and normal_form refuses a mixed element,
+        # so each degree's part is reduced on its own
+        for d in {len(w) for w in terms}:
+            f = FreeElement(ctx, {w: c for w, c in terms.items() if len(w) == d})
+            want = reference_normal_form(gb, f)
+            assert exact_terms(gb.normal_form(f).terms) == exact_terms(want), gb.pres.label
 
 
 def a_and_one_good_d(entries):

@@ -14,15 +14,53 @@ pivots stored before it, monic at its largest key (it is rescaled only
 when its lead coefficient is not already one), and lists that key first.
 The pivot set, the rank and every normal form depend only on the span and
 the key order, not on which basis of the span is stored.
+
+A pivot row may also be stored as a ``ShiftedRow``, a view of another row
+with every key moved by one integer shift.  ``normal_form`` builds a view
+into a plain dict the first time it cancels that view's key, and puts the
+dict back in its place, so a row that no elimination reads is never built.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 from .scalars import Scalar, fms_kernel
 
 
 class ResourceLimitError(RuntimeError):
     pass
+
+
+class ShiftedRow(Mapping):
+    """The row {k + shift: v for k, v in row.items()} over integer keys, not
+    yet built.  It reads as that row everywhere: its length is row's, it
+    lists its keys in row's order (so lead first when row is stored), and
+    it compares equal to the dict it stands for.  A view of a view is
+    flattened to the base row and the summed shift, so a view is never
+    more than one step from a plain dict."""
+
+    __slots__ = ("row", "shift")
+
+    def __init__(self, row, shift: int) -> None:
+        if type(row) is ShiftedRow:
+            row, shift = row.row, row.shift + shift
+        self.row = row
+        self.shift = shift
+
+    def __getitem__(self, key):
+        return self.row[key - self.shift]
+
+    def __iter__(self):
+        return map(self.shift.__add__, self.row)
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def build(self) -> dict:
+        """The row this view stands for, as a plain dict in the same order."""
+        shift = self.shift
+        return {k + shift: v for k, v in self.row.items()}
 
 
 class RowReducer:
@@ -44,12 +82,15 @@ class RowReducer:
 
         A key without a pivot is final, so it goes straight to the result;
         only keys with a pivot are kept in the working set, whose largest
-        key is cancelled by its pivot row.  Pivots do not change during the
-        call and a cancellation adds only smaller keys, so a cancelled key
+        key is cancelled by its pivot row.  No pivot row changes during the
+        call (building a view puts an equal dict in its place) and a
+        cancellation adds only smaller keys, so a cancelled key
         never returns, and exact arithmetic makes every coefficient
         independent of the order of its additions.  The row and the pivots
         share one conductor, whose ``fms`` kernel is fetched at the first
-        cancellation."""
+        cancellation.  A pivot stored as a ``ShiftedRow`` is built into the
+        equal plain dict the first time its key is cancelled, and that dict
+        replaces the view among the pivots."""
         pivots = self.pivots
         out = {}
         work = {}
@@ -61,7 +102,10 @@ class RowReducer:
             c = work.pop(lead)
             if fms is None:
                 fms = fms_kernel(c.n)
-            for k, v in pivots[lead].items():
+            prow = pivots[lead]
+            if type(prow) is ShiftedRow:
+                prow = pivots[lead] = prow.build()
+            for k, v in prow.items():
                 if k == lead:
                     continue
                 dest = work if k in pivots else out
@@ -88,11 +132,11 @@ class RowReducer:
         self.store(lead, row)
         return True
 
-    def store(self, lead, row: dict) -> None:
+    def store(self, lead, row) -> None:
         """Store a monic row whose largest key lead has no pivot yet and is
-        the row's first key.  The pivot dict then shares the row's own key
-        object, and a copy of the row with shifted keys finds its lead
-        without a search."""
+        the row's first key: a dict, or a ``ShiftedRow`` of such a row,
+        which ``normal_form`` builds when it first cancels lead.  Either
+        counts its full length against ``entry_limit``."""
         self.pivots[lead] = row
         self._entries += len(row)
         if self.entry_limit is not None and self._entries > self.entry_limit:

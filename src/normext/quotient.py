@@ -10,7 +10,10 @@ normal forms:
   of r * T_k already lies in V * I_{d-1}.  The first summand arrives
   pre-echelonized (prefixing a fixed letter preserves deglex among
   same-degree words), so only the relation-tail rows need reduction, and
-  there are |R| * dim A_k of them instead of |R| * n^k.  A relation row
+  there are |R| * dim A_k of them instead of |R| * n^k.  Its rows are not
+  copied: each is stored as a ``ShiftedRow`` view of a pivot row one level
+  below, and built only when a reduction first cancels its lead (as F4
+  reuses the rows reduced at the degree below).  A relation row
   r_j * v whose prefix row r_j * v' (v = v'x_a) lay in the span of the rows
   before it at the level below is skipped: a syzygy stays a syzygy after
   right multiplication, so the row is in the span of the rows before it
@@ -42,7 +45,7 @@ import json
 from dataclasses import dataclass
 
 from .freealg import AlgebraError, CoefficientModeError, Context, FreeElement, word_key
-from .linalg import RowReducer
+from .linalg import RowReducer, ShiftedRow
 from .dsl import print_poly
 from .rewriting import GBState
 
@@ -158,7 +161,11 @@ def code_word(code: int, n: int) -> tuple:
 
 
 class LinearEngine:
-    """Exact row-reduction engine for one presentation."""
+    """Exact row-reduction engine for one presentation.
+
+    ``entry_limit`` bounds the entries each level holds, counted as if
+    every row were built: a view of a row below counts its full length
+    though it stores none, so the limit over-states the memory in use."""
 
     def __init__(self, pres: Presentation, entry_limit: int | None = 40_000_000) -> None:
         pres.require_field()
@@ -212,21 +219,24 @@ class LinearEngine:
                     yield v * nrel + j, {code + v: c for code, c in scaled}
 
     def extend(self, bound: int) -> None:
-        """Build levels through bound.  Level d also lists its standard
-        words, from the candidates x_a appended to a standard word of degree
-        d-1: if u leads an element g of I_{d-1}, then u*x_a leads g*x_a in
-        I_d, so a prefix of a standard word is standard."""
+        """Build levels through bound.  Level d starts with x_a * row for
+        each letter and each pivot row of level d-1, stored as a
+        ``ShiftedRow`` view that ``RowReducer.normal_form`` builds the first
+        time it cancels the view's lead; most are never built.  Level d also
+        lists its standard words, from the candidates x_a appended to a
+        standard word of degree d-1: if u leads an element g of I_{d-1},
+        then u*x_a leads g*x_a in I_d, so a prefix of a standard word is
+        standard."""
         n = self.pres.ctx.n
         while len(self.levels) <= bound:
             d = len(self.levels)
             prev = self.levels[-1]
             red = RowReducer(entry_limit=self.entry_limit)
+            below = sorted(prev.pivots.items())  # leads are distinct: rows are never compared
             for i in range(n):
                 shift = (i + 1) * n ** (d - 1)  # code(x_i.w) - code(w)
-                for lead in sorted(prev.pivots):
-                    # a stored row lists its lead first, and so does the copy
-                    row = {c + shift: v for c, v in prev.pivots[lead].items()}
-                    red.store(next(iter(row)), row)
+                for lead, row in below:
+                    red.store(lead + shift, ShiftedRow(row, shift))
             zero = set()  # this level's relation rows known to reduce to zero
             for key, row in self._relation_rows(d, self._zero):
                 if row is None or not red.insert(row):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normext.linalg import RowReducer, solve
+from normext.linalg import RowReducer, ShiftedRow, solve
 from normext.scalars import Scalar, cyclotomic_poly
 
 KEYS = [(a, b) for a in range(3) for b in range(3)]
@@ -122,3 +122,34 @@ def test_normal_form_equals_the_reference_loop(case):
         assert next(iter(row)) is lead, "a stored row lists its lead first, as the pivot key"
     for row in [*inserted, *probes]:
         assert exact(red.normal_form(row)) == exact(reference_normal_form(red.pivots, row))
+
+
+@st.composite
+def stored_rows(draw):
+    """A row over integer keys as ``insert`` stores it: largest key first,
+    the others in any order."""
+    n = draw(st.sampled_from([1, 3, 12]))
+    keys = draw(st.lists(st.integers(0, 200), min_size=1, max_size=8, unique=True))
+    lead = max(keys)
+    keys = [lead, *draw(st.permutations([k for k in keys if k != lead]))]
+    return {k: draw(scalars(n)) for k in keys}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stored_rows(), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_a_shifted_row_reads_as_the_row_it_stands_for(row, s, t):
+    """ShiftedRow(row, s) is {k + s: v}: same length, same keys in the same
+    order (lead first), same values, equal to the dict and built into it.
+    A view of a view is one view of the base row with the summed shift."""
+    want = {k + s: v for k, v in row.items()}
+    view = ShiftedRow(row, s)
+    assert len(view) == len(want)
+    assert list(view) == list(want) and next(iter(view)) == max(want)
+    assert list(view.values()) == list(want.values())
+    assert view == want and want == view
+    assert all(view[k] is want[k] for k in want) and s - 1 not in view
+    built = view.build()
+    assert type(built) is dict and list(built.items()) == list(want.items())
+    twice = ShiftedRow(view, t)
+    assert twice.row is row and twice.shift == s + t
+    assert twice.build() == {k + t: v for k, v in want.items()}

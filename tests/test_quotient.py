@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_instances, field_w, parse_tuple
+from conftest import field_instances, field_w, parse_tuple, random_element
 from normext import quotient
 from normext.certify import build_extension, full_certificate
 from normext.cli import default_corpus_path
 from normext.dsl import parse_algebra, parse_poly
 from normext.freealg import AlgebraError, CoefficientModeError, Context, FreeElement, HomogeneityError, word_key
-from normext.linalg import ResourceLimitError
+from normext.linalg import ResourceLimitError, ShiftedRow
 from normext.quotient import (
     EngineDisagreementError,
     GradedQuotient,
@@ -431,6 +431,52 @@ def test_every_skipped_row_reduces_to_zero_in_the_reference(corpus_entries, labe
         assert {key for deg, key in engine.skipped if deg == d} <= reference._zero, (label, d)
     assert engine.skipped
     assert_same_levels(engine, reference, 2 * sp.m + 2, label)
+
+
+def instance_d(corpus_entries, label):
+    """(m, D) for the corpus certificate instance named label."""
+    entry = corpus_entries[label.split(":")[0]]
+    (k0, ptext, assign, _label), = [inst for inst in field_instances(entry) if inst[3] == label]
+    sp = Superpotential(field_w(entry, assign))
+    return sp.m, build_extension(sp, parse_tuple(ptext, entry.algebra.conductor), k0).D
+
+
+def built_leads(engine):
+    """For each level, the leads of the pivot rows built as plain dicts."""
+    return [{lead for lead, row in level.pivots.items() if not isinstance(row, ShiftedRow)} for level in engine.levels]
+
+
+@pytest.mark.parametrize("label", ["sklyanin:k=2:p=(z^2,1,z)", "cubic_a:k=2:p=(-1,1)"])
+def test_normal_forms_asked_while_extending_keep_every_level(corpus_entries, label):
+    """Normal forms asked in a shuffled order of degrees, while the engine
+    extends, build another set of the rows shifted from below; every level's
+    pivots and every normal form are those of an engine asked nothing."""
+    m, pres = instance_d(corpus_entries, label)
+    top = 2 * m + 2
+    rng = random.Random(label)
+    queries = [random_element(rng, pres.ctx, d, 3) for d in range(1, top + 1) for _ in range(8)]
+    rng.shuffle(queries)
+    asked, quiet = LinearEngine(pres), LinearEngine(pres)
+    answers = [asked.normal_form(f) for f in queries]
+    asked.extend(top)
+    quiet.extend(top)
+    assert built_leads(asked) != built_leads(quiet)
+    assert_same_levels(asked, quiet, top, label)
+    assert [quiet.normal_form(f) for f in queries] == answers
+
+
+def test_rows_shifted_from_below_are_built_only_when_used(corpus_entries):
+    """Right after extend(2m+2) on sklyanin's D, every level with rows
+    shifted from below (degree 3 up) has built fewer entries than it holds,
+    and the top level fewer than half."""
+    m, pres = instance_d(corpus_entries, "sklyanin:k=2:p=(z^2,1,z)")
+    engine = LinearEngine(pres)
+    engine.extend(2 * m + 2)
+    for d, (level, built) in enumerate(zip(engine.levels, built_leads(engine))):
+        held = sum(len(row) for row in level.pivots.values())
+        made = sum(len(level.pivots[lead]) for lead in built)
+        assert made < held if d >= 3 else made == held, d
+    assert 2 * made < held
 
 
 @pytest.mark.parametrize("engine", [LinearEngine, GBState], ids=["la", "gb"])

@@ -283,32 +283,18 @@ MUTANTS = [
         "words = [code_word(c, self.pres.ctx.n)[::-1] for c in self.standard[d]]",
         (Q + "test_normal_words_are_prefix_closed[la]",),
     ),
-    # LA rows shifted from the level below stored without counting against the entry limit
-    Mutant(
-        "quotient.py",
-        "red.store(lead + shift, ShiftedRow(row, shift))",
-        "red.pivots[lead + shift] = ShiftedRow(row, shift)",
-        (Q + "test_resource_limit_is_loud",),
-    ),
-    # a shifted row built without its shift
+    # a row held from the level below built without its shift
     Mutant(
         "linalg.py",
-        "return {k + shift: v for k, v in self.row.items()}",
-        "return {k: v for k, v in self.row.items()}",
+        "                shift = lead - first\n",
+        "                shift = 0\n",
         (Q + "test_membership_examples",),
     ),
-    # a view of a view that keeps only the new shift
+    # the rows held from the level below not counted against the entry limit
     Mutant(
         "linalg.py",
-        "row, shift = row.row, row.shift + shift",
-        "row, shift = row.row, shift",
-        (Q + "test_normal_forms_asked_while_extending_keep_every_level",),
-    ),
-    # a shifted row that counts no entries
-    Mutant(
-        "linalg.py",
-        "        return len(self.row)\n",
-        "        return 0\n",
+        "self._count(len(shifts) * below._entries)",
+        "self._count(0)",
         (Q + "test_resource_limit_is_loud",),
     ),
     # LA rows skipped by the row's own code instead of its prefix's

@@ -15,52 +15,21 @@ when its lead coefficient is not already one), and lists that key first.
 The pivot set, the rank and every normal form depend only on the span and
 the key order, not on which basis of the span is stored.
 
-A pivot row may also be stored as a ``ShiftedRow``, a view of another row
-with every key moved by one integer shift.  ``normal_form`` builds a view
-into a plain dict the first time it cancels that view's key, and puts the
-dict back in its place, so a row that no elimination reads is never built.
+``take_shifted`` holds the pivot rows of another reducer under integer
+keys moved by a shift, unbuilt: the pivot under key lead is the row object
+below, whose first key is its own lead, so lead minus that first key is
+the shift.  ``normal_form`` builds such a row into a plain dict the first
+time it cancels its key, and puts the dict back in its place, so a row
+that no elimination reads is never built.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
 
 from .scalars import Scalar, fms_kernel
 
 
 class ResourceLimitError(RuntimeError):
     pass
-
-
-class ShiftedRow(Mapping):
-    """The row {k + shift: v for k, v in row.items()} over integer keys, not
-    yet built.  It reads as that row everywhere: its length is row's, it
-    lists its keys in row's order (so lead first when row is stored), and
-    it compares equal to the dict it stands for.  A view of a view is
-    flattened to the base row and the summed shift, so a view is never
-    more than one step from a plain dict."""
-
-    __slots__ = ("row", "shift")
-
-    def __init__(self, row, shift: int) -> None:
-        if type(row) is ShiftedRow:
-            row, shift = row.row, row.shift + shift
-        self.row = row
-        self.shift = shift
-
-    def __getitem__(self, key):
-        return self.row[key - self.shift]
-
-    def __iter__(self):
-        return map(self.shift.__add__, self.row)
-
-    def __len__(self) -> int:
-        return len(self.row)
-
-    def build(self) -> dict:
-        """The row this view stands for, as a plain dict in the same order."""
-        shift = self.shift
-        return {k + shift: v for k, v in self.row.items()}
 
 
 class RowReducer:
@@ -83,14 +52,16 @@ class RowReducer:
         A key without a pivot is final, so it goes straight to the result;
         only keys with a pivot are kept in the working set, whose largest
         key is cancelled by its pivot row.  No pivot row changes during the
-        call (building a view puts an equal dict in its place) and a
+        call (building a held row puts an equal dict in its place) and a
         cancellation adds only smaller keys, so a cancelled key
         never returns, and exact arithmetic makes every coefficient
         independent of the order of its additions.  The row and the pivots
         share one conductor, whose ``fms`` kernel is fetched at the first
-        cancellation.  A pivot stored as a ``ShiftedRow`` is built into the
-        equal plain dict the first time its key is cancelled, and that dict
-        replaces the view among the pivots."""
+        cancellation.  A pivot whose first key is not its own key is a row
+        held by ``take_shifted`` and not built yet: it is built into the
+        plain dict it stands for, with the shift read off that first key,
+        the first time its key is cancelled, and the dict replaces it among
+        the pivots."""
         pivots = self.pivots
         out = {}
         work = {}
@@ -103,8 +74,10 @@ class RowReducer:
             if fms is None:
                 fms = fms_kernel(c.n)
             prow = pivots[lead]
-            if type(prow) is ShiftedRow:
-                prow = pivots[lead] = prow.build()
+            first = next(iter(prow))
+            if first != lead:
+                shift = lead - first
+                prow = pivots[lead] = {k + shift: v for k, v in prow.items()}
             for k, v in prow.items():
                 if k == lead:
                     continue
@@ -132,13 +105,26 @@ class RowReducer:
         self.store(lead, row)
         return True
 
-    def store(self, lead, row) -> None:
+    def store(self, lead, row: dict) -> None:
         """Store a monic row whose largest key lead has no pivot yet and is
-        the row's first key: a dict, or a ``ShiftedRow`` of such a row,
-        which ``normal_form`` builds when it first cancels lead.  Either
-        counts its full length against ``entry_limit``."""
+        the row's first key, and count its entries against ``entry_limit``."""
         self.pivots[lead] = row
-        self._entries += len(row)
+        self._count(len(row))
+
+    def take_shifted(self, below: RowReducer, shifts) -> None:
+        """Hold every pivot row of below once per integer shift s, under its
+        lead + s: the value is the row object below itself, unshifted and
+        shared, which ``normal_form`` builds when it first cancels that key.
+        The moved leads must be distinct and have no pivot yet.  Each held
+        row counts its full length against ``entry_limit``, so the count is
+        of logical entries and over-states the memory in use."""
+        self._count(len(shifts) * below._entries)
+        leads, rows = below.pivots.keys(), below.pivots.values()
+        for s in shifts:
+            self.pivots.update(zip(map(s.__add__, leads), rows))
+
+    def _count(self, entries: int) -> None:
+        self._entries += entries
         if self.entry_limit is not None and self._entries > self.entry_limit:
             raise ResourceLimitError(
                 f"row reducer exceeded entry limit {self.entry_limit}"

@@ -11,9 +11,10 @@ normal forms:
   pre-echelonized (prefixing a fixed letter preserves deglex among
   same-degree words), so only the relation-tail rows need reduction, and
   there are |R| * dim A_k of them instead of |R| * n^k.  Its rows are not
-  copied: each is stored as a ``ShiftedRow`` view of a pivot row one level
-  below, and built only when a reduction first cancels its lead (as F4
-  reuses the rows reduced at the degree below).  A relation row
+  copied: one dict update per letter holds each pivot row of the level
+  below, as it is, under its lead moved by that letter's shift, and a row
+  is built only when a reduction first cancels its lead (as F4 reuses the
+  rows reduced at the degree below).  A relation row
   r_j * v whose prefix row r_j * v' (v = v'x_a) lay in the span of the rows
   before it at the level below is skipped: a syzygy stays a syzygy after
   right multiplication, so the row is in the span of the rows before it
@@ -45,7 +46,7 @@ import json
 from dataclasses import dataclass
 
 from .freealg import AlgebraError, CoefficientModeError, Context, FreeElement, word_key
-from .linalg import RowReducer, ShiftedRow
+from .linalg import RowReducer
 from .dsl import print_poly
 from .rewriting import GBState
 
@@ -164,8 +165,9 @@ class LinearEngine:
     """Exact row-reduction engine for one presentation.
 
     ``entry_limit`` bounds the entries each level holds, counted as if
-    every row were built: a view of a row below counts its full length
-    though it stores none, so the limit over-states the memory in use."""
+    every row were built: a row held from the level below counts its full
+    length though the level stores none of it, so the limit over-states
+    the memory in use."""
 
     def __init__(self, pres: Presentation, entry_limit: int | None = 40_000_000) -> None:
         pres.require_field()
@@ -220,23 +222,19 @@ class LinearEngine:
 
     def extend(self, bound: int) -> None:
         """Build levels through bound.  Level d starts with x_a * row for
-        each letter and each pivot row of level d-1, stored as a
-        ``ShiftedRow`` view that ``RowReducer.normal_form`` builds the first
-        time it cancels the view's lead; most are never built.  Level d also
-        lists its standard words, from the candidates x_a appended to a
-        standard word of degree d-1: if u leads an element g of I_{d-1},
-        then u*x_a leads g*x_a in I_d, so a prefix of a standard word is
-        standard."""
+        each letter and each pivot row of level d-1, held by
+        ``RowReducer.take_shifted`` as the row below itself and built by
+        ``RowReducer.normal_form`` the first time it cancels the row's
+        lead; most are never built.  Level d also lists its standard words,
+        from the candidates x_a appended to a standard word of degree d-1:
+        if u leads an element g of I_{d-1}, then u*x_a leads g*x_a in I_d,
+        so a prefix of a standard word is standard."""
         n = self.pres.ctx.n
         while len(self.levels) <= bound:
             d = len(self.levels)
-            prev = self.levels[-1]
             red = RowReducer(entry_limit=self.entry_limit)
-            below = sorted(prev.pivots.items())  # leads are distinct: rows are never compared
-            for i in range(n):
-                shift = (i + 1) * n ** (d - 1)  # code(x_i.w) - code(w)
-                for lead, row in below:
-                    red.store(lead + shift, ShiftedRow(row, shift))
+            # code(x_i.w) - code(w) for each letter x_i
+            red.take_shifted(self.levels[-1], [(i + 1) * n ** (d - 1) for i in range(n)])
             zero = set()  # this level's relation rows known to reduce to zero
             for key, row in self._relation_rows(d, self._zero):
                 if row is None or not red.insert(row):

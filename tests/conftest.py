@@ -13,6 +13,18 @@ def corpus_entries():
     return {e.name: e for e in load_corpus(default_corpus_path())}
 
 
+def built_pivots(reducer) -> dict:
+    """Each pivot row of reducer as the row it stands for.  A row held under
+    a shifted key (``RowReducer.take_shifted``) is built, with the shift
+    read off its first key as ``normal_form`` reads it; a built row is
+    copied as it is."""
+    out = {}
+    for lead, row in reducer.pivots.items():
+        shift = lead - next(iter(row))
+        out[lead] = {k + shift: v for k, v in row.items()}
+    return out
+
+
 def field_instances(entry):
     """(k0, p, assign_text, label) for every certificate instance of an entry."""
     out = []

@@ -3,7 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normext.linalg import RowReducer, ShiftedRow, solve
+from conftest import built_pivots
+from normext.linalg import RowReducer, solve
 from normext.scalars import Scalar, cyclotomic_poly
 
 KEYS = [(a, b) for a in range(3) for b in range(3)]
@@ -125,31 +126,44 @@ def test_normal_form_equals_the_reference_loop(case):
 
 
 @st.composite
-def stored_rows(draw):
-    """A row over integer keys as ``insert`` stores it: largest key first,
-    the others in any order."""
+def bottom_levels(draw):
+    """(n, rows inserted at the bottom level) over keys below 100."""
     n = draw(st.sampled_from([1, 3, 12]))
-    keys = draw(st.lists(st.integers(0, 200), min_size=1, max_size=8, unique=True))
-    lead = max(keys)
-    keys = [lead, *draw(st.permutations([k for k in keys if k != lead]))]
-    return {k: draw(scalars(n)) for k in keys}
+    return n, draw(st.lists(rows(n, range(100)), max_size=6))
+
+
+SHIFT_STEPS = st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(stored_rows(), st.integers(0, 10**6), st.integers(0, 10**6))
-def test_a_shifted_row_reads_as_the_row_it_stands_for(row, s, t):
-    """ShiftedRow(row, s) is {k + s: v}: same length, same keys in the same
-    order (lead first), same values, equal to the dict and built into it.
-    A view of a view is one view of the base row with the summed shift."""
-    want = {k + s: v for k, v in row.items()}
-    view = ShiftedRow(row, s)
-    assert len(view) == len(want)
-    assert list(view) == list(want) and next(iter(view)) == max(want)
-    assert list(view.values()) == list(want.values())
-    assert view == want and want == view
-    assert all(view[k] is want[k] for k in want) and s - 1 not in view
-    built = view.build()
-    assert type(built) is dict and list(built.items()) == list(want.items())
-    twice = ShiftedRow(view, t)
-    assert twice.row is row and twice.shift == s + t
-    assert twice.build() == {k + t: v for k, v in want.items()}
+@given(bottom_levels(), st.tuples(SHIFT_STEPS, SHIFT_STEPS), st.data())
+def test_rows_held_under_shifted_keys_reduce_as_the_built_rows(bottom, steps, data):
+    """Rows held by ``take_shifted`` one and two levels up give the rank,
+    normal forms, ``contains`` and ``insert`` answers of the same rows built
+    and stored, and count their logical entries.  Keys start below 100 and
+    the shifts one and two levels up are distinct multiples of 100 and 1000,
+    so every moved lead is distinct; the second level holds rows built in
+    place, held rows and inserted rows of the first."""
+    n, inserted = bottom
+    held = RowReducer(inserted)
+    for scale, step in zip((100, 1000), steps):
+        shifts = [scale * s for s in step]
+        below, held, built = held, RowReducer(), RowReducer()
+        held.take_shifted(below, shifts)
+        for s in shifts:
+            for lead, row in built_pivots(below).items():
+                built.store(lead + s, {k + s: v for k, v in row.items()})
+        assert held.rank == built.rank and built_pivots(held) == built.pivots
+        assert held._entries == built._entries == len(shifts) * below._entries
+        span = list(built.pivots.values())
+        keys = sorted({1, *(k for row in span for k in row)})
+        probes = [combine(span, [data.draw(scalars(n)) for _ in span])]
+        probes += data.draw(st.lists(rows(n, keys), max_size=3))
+        for probe in probes:
+            want = built.normal_form(probe)
+            assert exact(held.normal_form(probe)) == exact(want)
+            assert held.contains(probe) == (not want)
+        assert built_pivots(held) == built.pivots, "a row built in place is the row it stood for"
+        for probe in probes:
+            assert held.insert(probe) == built.insert(probe)
+        assert held.rank == built.rank and held._entries == built._entries

@@ -94,7 +94,28 @@ MUTANTS = [
         "certify.py",
         "row[pos[wd] * width + t] = c if scale is None else scale(c)",
         "row[pos[wd] * width + t] = c",
-        (C + "test_reports_equal_the_benchmark_reference[gb]",),
+        (C + "test_m_l_reads_shared_letter_walks_at_their_scales",),
+    ),
+    # Omega's kernel dims read one degree late
+    Mutant(
+        "certify.py",
+        'right_kernels = cert.diagnostics["z_from_e"]',
+        'right_kernels = cert.diagnostics["z_from_e"][1:]',
+        (C + "test_omega_bad_tuple_regularity_fails_where_z_positive",),
+    ),
+    # the omega stage run without the Hilbert stage's z_from_e
+    Mutant(
+        "certify.py",
+        '    if "z_from_e" not in cert.diagnostics:\n',
+        "    if False:\n",
+        (C + "test_the_omega_stage_without_the_hilbert_stage_names_it",),
+    ),
+    # r2 taken from dim D_d, without r1's degree-0 correction
+    Mutant(
+        "certify.py",
+        "r2 = dim1 - r1",
+        "r2 = dim1 - dim0",
+        (C + "test_resolution_certificate_cy",),
     ),
     # an identity in place of the negation of a shared walk
     Mutant(
@@ -102,6 +123,13 @@ MUTANTS = [
         "scale = None if c.is_one() else neg if (-c).is_one() else c.__mul__",
         "scale = None if c.is_one() else (lambda v: v) if (-c).is_one() else c.__mul__",
         (C + "test_shared_walks_rank_as_each_entry_walking_its_own[gb]",),
+    ),
+    # every scale other than 1 and -1 dropped
+    Mutant(
+        "certify.py",
+        "scale = None if c.is_one() else neg if (-c).is_one() else c.__mul__",
+        "scale = None if c.is_one() else neg if (-c).is_one() else None",
+        (C + "test_m_l_reads_shared_letter_walks_at_their_scales",),
     ),
     # every reader of a shared walk advancing one and the same iterator
     Mutant(

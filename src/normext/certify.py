@@ -9,21 +9,45 @@ desk-checkable to a degree bound:
 * the Hilbert identity h_D * (1 - t^m) = h_A, with defect e_k and
   annihilator z_k diagnostics,
 * normality/centrality memberships for the distinguished element and the
-  vanishing of both multiplication kernels.  One walk serves both sides.
-  Let tau be the diagonal automorphism x_i -> p_i x_i of the free algebra.
-  If x_i Omega = p_i Omega x_i in D for every i (a relation of D for
-  i != k, the ``omega_normal`` check for i = k), then u Omega = Omega tau(u)
-  in D for every word u, by induction on its length.  So in V^{(x)d}
+  vanishing of both multiplication kernels, whose dimensions come from the
+  Hilbert tables rather than from a walk.  (a) For i != k,
+  x_i Omega - p_i Omega x_i is a relation of D; for i = k,
+  sum_i x_i f_i = w = sum_i q_i f_i x_i gives
+  x_k Omega - q_k Omega x_k = sum_{i != k} (q_i f_i x_i - x_i f_i), which
+  lies in D's ideal because every f_i with i != k is a relation of D, and
+  ``ExtensionSpec`` enforces p_k = q_k.  So D_d Omega = Omega D_d is the
+  degree-(d+m) part of the ideal (Omega) of D.  Adding f_k to D's relations
+  gives A's, since every commutator lies in (f_k), so D/(Omega) = A and
+  u -> u Omega on D_d has rank dim D_{d+m} - dim A_{d+m}.  Its kernel has
+  dimension dim D_d - dim D_{d+m} + dim A_{d+m} = e_{d+m} - e_d, which is
+  ``z_from_e[d]``, so ``omega_certificate`` needs ``verify_hilbert`` to
+  have run.  The other side follows from the same normality: let tau be
+  the diagonal automorphism x_i -> p_i x_i of the free algebra.  If
+  x_i Omega = p_i Omega x_i in D for every i (the ``omega_normal`` check
+  tests i = k), then u Omega = Omega tau(u) in D for every word u, by
+  induction on its length.  So in V^{(x)d}
   ker(u -> u Omega) = tau^{-1} ker(v -> Omega v); both kernels contain
   I_d, so their dimensions on D_d are equal.  If ``omega_normal`` fails,
-  the left annihilator is not derived and ``omega_regular`` fails,
+  the left annihilator is not derived and ``omega_regular`` fails.  The
+  check ``annihilator_matches_hilbert_defect`` compares the reported
+  kernels with ``z_from_e``; it is an identity by construction, and the
+  report keeps it,
 * the candidate resolution: the identities x^t M_l = g_l^t and M_r x = g_r,
   the complex property M_l M_r = 0 in D (each product a ``freealg.matmul``),
-  Euler residuals, and degree-wise rank exactness.  D is generated in
-  degree 1 and both engines' normal words are prefix-closed: a normal word
-  w of degree d >= 1 is NF(w[:-1]*x_{w[-1]}) with w[:-1] normal.  So the
-  last map u*e_i -> u*x_i has rank dim D_d - [d = 0] and is not walked, and
-  every dimension is read from D's Hilbert table,
+  Euler residuals, and degree-wise rank exactness.  Every dimension is
+  read from D's Hilbert table, and two of the four ranks are known without
+  a walk.  D is generated in degree 1 and both engines' normal words are
+  prefix-closed: a normal word w of degree d >= 1 is NF(w[:-1]*x_{w[-1]})
+  with w[:-1] normal.  So the last map u*e_i -> u*x_i has rank
+  r1 = dim D_d - [d = 0].  (b) D (x) R -> D (x) V -> D is exact at D (x) V
+  for any presentation, so the map P2 -> P1 given by M_r has rank
+  r2 = dim P1_d - r1.  Let sum_t a_t x_t lie in I and write it as
+  sum u g_s v.  A term whose v ends in x_t moves into a_t modulo I; the
+  rest is sum u g_s = sum_t (sum u M_r[s][t]) x_t, using M_r x = g_r, which
+  is checked.  TV_{>=1} is the free module sum_t TV x_t, so every a_t is
+  congruent to sum u M_r[s][t] modulo I.  Only the letter row P4 -> P3
+  and M_l are walked, and ``P1_exact`` (r2 + r1 = dim P1) is an identity
+  by construction that the report keeps,
 * the diagonal Nakayama map x_i -> (p_i q_i)^{-1} x_i and the homological
   determinant factorization, which must multiply to 1.
 
@@ -257,8 +281,11 @@ def multiples_by_degree(quot: GradedQuotient, e: FreeElement):
 
 
 def omega_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient) -> None:
-    bound = cert.bound
-    require_bound(spec, bound)
+    """Omega's checks and annihilator dims; reads ``z_from_e``, which
+    ``verify_hilbert`` writes into the same certificate."""
+    require_bound(spec, cert.bound)
+    if "z_from_e" not in cert.diagnostics:
+        raise RuntimeError("omega_certificate reads z_from_e: run verify_hilbert on the certificate first")
     ctx = spec.ctx
     xs = [FreeElement.gen(ctx, i) for i in range(spec.n)]
     omega = spec.omega
@@ -271,10 +298,9 @@ def omega_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient)
 
     central = all(D.contains(xs[i] * omega - omega * xs[i]) for i in range(spec.n))
 
-    # dim ker of u -> u*Omega, degree by degree; a normal Omega has the same
-    # kernel dims on the other side (see the module docstring)
-    (ranks,) = _graded_map_ranks(D, [([[omega]], [0])])
-    right_kernels = [dim - rank for dim, rank in zip(D.dims(bound - spec.m), ranks)]
+    # dim ker of u -> u*Omega on D_d is e_{d+m} - e_d, and a normal Omega
+    # has the same kernel dims on the other side (see the module docstring)
+    right_kernels = cert.diagnostics["z_from_e"]
     left_kernels = right_kernels if normal_ok else None
 
     cert.diagnostics.update(
@@ -294,9 +320,11 @@ def omega_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuotient)
 def resolution_maps(spec: ExtensionSpec) -> tuple[tuple, list]:
     """The permutation of the generators (omitted index first, the rest
     ascending), and the (entries, source shifts) of the three maps
-    P4 -> P3 -> P2 -> P1 of the candidate resolution whose ranks are
-    computed, in that order: the letters as a row, M_l and M_r.  The
-    letters as a column, P1 -> P0, appear only in the check of M_r x = g_r.
+    P4 -> P3 -> P2 -> P1 of the candidate resolution, in that order: the
+    letters as a row, M_l and M_r.  Only the first two are ranked; M_r
+    enters the complex property, and its rank is derived (see the module
+    docstring).  The letters as a column, P1 -> P0, appear only in the
+    check of M_r x = g_r.
 
     Raises ResolutionDefect unless x^t M_l = g_l^t and M_r x = g_r, where
     g_l and g_r list D's relations scaled as the paper's identities need."""
@@ -344,8 +372,9 @@ def _graded_map_ranks(quot: GradedQuotient, maps) -> list:
 
     The maps share their walks: an entry c*e', with e' monic at its deglex
     lead, reads the ``multiples_by_degree`` walk of e' and scales it by c,
-    since NF(u*c*e') = c*NF(u*e').  The resolution's maps share each M[a][b]
-    (M_l and M_r) and multiples of letters, each map at its own fixed lag.
+    since NF(u*c*e') = c*NF(u*e').  The resolution's letter row and M_l
+    share multiples of letters, and M_l repeats entries of M up to a
+    scalar, each map at its own fixed lag.
     ``itertools.tee`` gives every reader of a walk its own iterator, so each
     degree of a walk is made once, on its first read, and every step is
     still a ``quot.normal_form`` call.  CPython's ``tee`` frees its buffer
@@ -431,17 +460,19 @@ def resolution_certificate(cert: Certificate, spec: ExtensionSpec, D: GradedQuot
     def dd(j: int) -> int:
         return dims[j] if j >= 0 else 0
 
-    ranks = _graded_map_ranks(D, maps)
+    ranks = _graded_map_ranks(D, maps[:2])  # the letter row and M_l
     residuals = []
     exact_witness = None
     rank_rows = []
     for deg in range(bound + 1):
         dim0, dim1, dim2 = dd(deg), n * dd(deg - 1), (n - 1) * (dd(deg - m) + dd(deg - m - 1))
         dim3, dim4 = n * dd(deg - 2 * m), dd(deg - 2 * m - 1)
-        # P1 -> P0 maps onto D_{>=1} (see the module docstring), and k sits in degree 0
+        # P1 -> P0 maps onto D_{>=1}, and P2 -> P1 onto its kernel (see the
+        # module docstring); k sits in degree 0
         r1 = dim0 - (1 if deg == 0 else 0)
+        r2 = dim1 - r1
         residuals.append(r1 - dim1 + dim2 - dim3 + dim4)
-        r4, r3, r2 = map(next, ranks)
+        r4, r3 = map(next, ranks)
         conds = {
             "P4_injective": r4 == dim4,
             "P3_exact": r4 + r3 == dim3,
@@ -562,7 +593,8 @@ def full_certificate(
     verify_hilbert(cert, spec, A, D)
     omega_certificate(cert, spec, D)
 
-    # dual-route z: annihilator dims must satisfy e_k = e_{k-m} + z_{k-m}
+    # dual-route z: annihilator dims must satisfy e_k = e_{k-m} + z_{k-m};
+    # omega_certificate reads them from z_from_e, so this always holds
     z_e = cert.diagnostics["z_from_e"]
     z_k = cert.diagnostics["right_annihilator_dims"]
     same = z_e[: len(z_k)] == z_k

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,13 +27,13 @@ from normext.certify import (
 )
 from normext import certify, cli
 from normext.cli import default_corpus_path
-from normext.dsl import parse_algebra, parse_poly, print_poly
+from normext.dsl import parse_algebra, parse_poly, print_poly, scalar_text
 from normext.freealg import Context, FreeElement, matmul
 from normext.linalg import RowReducer
 from normext.quotient import GradedQuotient
-from normext.scalars import Scalar
+from normext.scalars import Assignment, Scalar
 from normext.superpotential import DiagonalMap, Superpotential
-from normext.tuples import is_good
+from normext.tuples import goodness_system, is_good, solve_units
 
 CTX = Context(("x", "y", "z"), 1)
 W_POLY = parse_poly("x*y*z + y*z*x + z*x*y - x*z*y - z*y*x - y*x*z", CTX)
@@ -66,6 +67,17 @@ def poly_spec(p=(1, 1, 1), k=0):
 def stage_cert(spec, bound=None):
     """An empty certificate for spec, for one stage to write into."""
     return Certificate(spec.label, spec.k + 1, [], bound)
+
+
+def omega_stage(spec, bound, engine="gb"):
+    """A certificate for spec with ``verify_hilbert`` and then
+    ``omega_certificate`` run, as ``full_certificate`` runs them: the omega
+    stage reads the annihilator dims from the Hilbert tables."""
+    cert = stage_cert(spec, bound)
+    D = GradedQuotient(spec.D, engine)
+    verify_hilbert(cert, spec, GradedQuotient(spec.A, engine), D)
+    omega_certificate(cert, spec, D)
+    return cert
 
 
 def test_build_extension_relations():
@@ -141,8 +153,7 @@ def test_predicted_dims_convolution():
 
 def test_omega_certificate_cy():
     spec = poly_spec()
-    cert = stage_cert(spec, 8)
-    omega_certificate(cert, spec, gb(spec.D))
+    cert = omega_stage(spec, 8)
     by_name = {c.name: c for c in cert.checks}
     assert by_name["omega_normal"].passed and by_name["omega_regular"].passed
     assert cert.diagnostics["central"] is True
@@ -152,8 +163,7 @@ def test_omega_certificate_s2_normal_not_central():
     sp = s2_superpotential()
     p = (Scalar.from_rational(4, 12), Scalar.from_rational(Fraction(1, 2), 12))
     spec = build_extension(sp, p, 0, label="s2")
-    cert = stage_cert(spec, 10)
-    omega_certificate(cert, spec, gb(spec.D))
+    cert = omega_stage(spec, 10)
     by_name = {c.name: c for c in cert.checks}
     assert by_name["omega_normal"].passed and by_name["omega_regular"].passed
     assert cert.diagnostics["central"] is False
@@ -161,8 +171,7 @@ def test_omega_certificate_s2_normal_not_central():
 
 def test_omega_bad_tuple_regularity_fails_where_z_positive():
     spec = poly_spec(p=(1, 2, 1))
-    cert = stage_cert(spec, 8)
-    omega_certificate(cert, spec, gb(spec.D))
+    cert = omega_stage(spec, 8)
     by_name = {c.name: c for c in cert.checks}
     assert by_name["omega_normal"].passed  # normality needs no goodness
     assert not by_name["omega_regular"].passed
@@ -183,8 +192,7 @@ def test_a_non_normal_omega_fails_regularity_without_a_left_annihilator():
     built = spec.goodness()  # is_good refuses p_1 != q_1
     spec.goodness = lambda: built
     spec.p = (Scalar.from_rational(2), *spec.p[1:])
-    cert = stage_cert(spec, 6)
-    omega_certificate(cert, spec, gb(spec.D))
+    cert = omega_stage(spec, 6)
     by_name = {c.name: c for c in cert.checks}
     assert not by_name["omega_normal"].passed and by_name["omega_normal"].witness == "x"
     assert cert.diagnostics["left_annihilator_dims"] is None
@@ -195,6 +203,13 @@ def test_a_non_normal_omega_fails_regularity_without_a_left_annihilator():
     checks = {c["name"]: c for c in blob["checks"]}
     assert blob["pass"] is False and blob["diagnostics"]["left_annihilator_dims"] is None
     assert checks["omega_regular"] == by_name["omega_regular"].to_json()
+
+
+def test_the_omega_stage_without_the_hilbert_stage_names_it():
+    """The omega stage reads z_from_e, which only ``verify_hilbert`` writes."""
+    spec = poly_spec()
+    with pytest.raises(RuntimeError, match="run verify_hilbert"):
+        omega_certificate(stage_cert(spec, 6), spec, gb(spec.D))
 
 
 def test_resolution_shapes_and_identities():
@@ -478,8 +493,7 @@ def test_the_reported_left_annihilator_is_the_right_walks_kernel(corpus_entries,
     for label, spec in corpus_specs(corpus_entries):
         m = spec.m
         D = GradedQuotient(spec.D, engine)
-        cert = stage_cert(spec, 2 * m + 2)
-        omega_certificate(cert, spec, D)
+        cert = omega_stage(spec, 2 * m + 2, engine)
         walked = []
         for d, nfs in zip(range(m + 3), right_multiples_by_degree(D, spec.omega)):
             assert list(nfs) == D.normal_words(d), (label, d)
@@ -491,6 +505,103 @@ def test_the_reported_left_annihilator_is_the_right_walks_kernel(corpus_entries,
                 red.insert({pos[w]: c for w, c in nf.terms.items()})
             walked.append(len(nfs) - red.rank)
         assert cert.diagnostics["left_annihilator_dims"] == walked, (label, engine)
+
+
+def walked_omega_kernels(D, spec, top):
+    """dim ker(u -> u*Omega) on D_d for d = 0..top, ranked from the
+    ``multiples_by_degree`` walk of Omega: the reference for the
+    ``right_annihilator_dims`` that the omega stage reads off the Hilbert
+    tables as z_from_e."""
+    kernels = []
+    for d, nfs in zip(range(top + 1), multiples_by_degree(D, spec.omega)):
+        pos = {w: i for i, w in enumerate(D.normal_words(d + spec.m))}
+        red = RowReducer()
+        for nf in nfs.values():
+            red.insert({pos[w]: c for w, c in nf.terms.items()})
+        kernels.append(len(nfs) - red.rank)
+    return kernels
+
+
+def walked_p2_ranks(D, spec, top):
+    """The rank of P2 -> P1, the map M_r, for deg = 0..top, walked by
+    ``_graded_map_ranks``: the reference for the r2 that the resolution
+    stage derives as dim P1 - r1."""
+    (ranks,) = _graded_map_ranks(D, resolution_maps(spec)[1][2:])
+    return [rank for _, rank in zip(range(top + 1), ranks)]
+
+
+def assert_derived_numbers_are_walked_ones(spec, engine, bound, label):
+    """Certify spec through the resolution stage and compare, degree by
+    degree, the two derived numbers with their walks: Omega's kernel dims
+    with z_from_e, and the rank of P2 -> P1 with dim P1 - r1.  Returns
+    z_from_e."""
+    D = GradedQuotient(spec.D, engine)
+    cert = stage_cert(spec, bound)
+    verify_hilbert(cert, spec, GradedQuotient(spec.A, engine), D)
+    omega_certificate(cert, spec, D)
+    resolution_certificate(cert, spec, D)
+    z = cert.diagnostics["z_from_e"]
+    assert walked_omega_kernels(D, spec, bound - spec.m) == z == cert.diagnostics["right_annihilator_dims"], (
+        label,
+        engine,
+    )
+    profile = cert.diagnostics["rank_profile"]
+    derived = [row["dims"][3] - row["ranks"][3] for row in profile]
+    assert walked_p2_ranks(D, spec, bound) == derived == [row["ranks"][2] for row in profile], (label, engine)
+    return z
+
+
+@pytest.mark.parametrize("engine", ["la", "gb", "both"])
+def test_derived_kernels_and_p2_ranks_equal_their_walks_on_the_corpus(corpus_entries, engine):
+    """On every corpus instance and bad tuple at 2m+2, the walked kernel of
+    u -> u*Omega is z_from_e and the walked rank of M_r is dim P1 - r1, in
+    every degree (proofs (a) and (b) of the ``certify`` docstring)."""
+    for label, spec in corpus_specs(corpus_entries):
+        assert_derived_numbers_are_walked_ones(spec, engine, 2 * spec.m + 2, label)
+
+
+TUPLE_FACTORS = ["-1", "2", "1/2", "-2", "3"]
+
+
+def random_tuple_spec(corpus_entries, rng):
+    """(label, spec) for a seeded draw: a corpus w at its file's values, an
+    omitted index k, and a member of a solved family of good tuples
+    (``solve_units``) with random values for its free symbols; half the
+    draws then scale one entry other than p_k by a random factor, which
+    usually makes the tuple bad.  p_k = q_k always."""
+    entry = corpus_entries[rng.choice(sorted(corpus_entries))]
+    af = entry.algebra
+    sp = Superpotential(field_w(entry))
+    k = rng.randrange(sp.n)
+    fam = rng.choice(solve_units(goodness_system(Superpotential(af.w), k)))
+    base = af.assignment(None)
+    values = dict(base.values) if base else {}
+    for sym in fam.symbols:
+        values[sym] = Fraction(rng.choice(TUPLE_FACTORS))
+    asg = Assignment(af.params + fam.symbols, values, base.roots if base else None, af.conductor)
+    p = [asg.specialize(u) for u in fam.member_units(rng.randrange(len(fam.cosets)))]
+    if rng.random() < 0.5:
+        j = rng.choice([i for i in range(sp.n) if i != k])
+        p[j] = p[j] * Scalar.from_rational(Fraction(rng.choice(TUPLE_FACTORS)), af.conductor)
+    label = f"{entry.name}:k={k + 1}:p=({','.join(map(scalar_text, p))})"
+    return label, build_extension(sp, p, k)
+
+
+@pytest.mark.parametrize("engine", ["la", "gb", "both"])
+def test_derived_kernels_and_p2_ranks_equal_their_walks_on_random_tuples(corpus_entries, engine):
+    """The same on 40 seeded tuples with p_k = q_k over the five corpus w,
+    at 2m+2.  At least ten draws are good and ten bad by ``is_good``, and
+    at least ten have z_from_e != 0, so the kernels compared are not all
+    zero."""
+    good = bad = nonzero_z = 0
+    for seed in range(40):
+        label, spec = random_tuple_spec(corpus_entries, random.Random(seed))
+        z = assert_derived_numbers_are_walked_ones(spec, engine, 2 * spec.m + 2, label)
+        ok = bool(is_good(spec.sp, spec.k, spec.p))
+        good += ok
+        bad += not ok
+        nonzero_z += any(z)
+    assert good >= 10 and bad >= 10 and nonzero_z >= 10, (good, bad, nonzero_z)
 
 
 def unshared_ranks(quot, entries, shifts_src, top):
@@ -547,6 +658,24 @@ def test_shared_walks_rank_as_each_entry_walking_its_own(corpus_entries, engine,
             if monic not in monics:
                 monics.append(monic)
         assert walked == monics and len(walked) < len(nonzero), label
+
+
+def test_m_l_reads_shared_letter_walks_at_their_scales(corpus_entries):
+    """In skew:k=1:p=(2,3,1/3), M_l has -3*z beside y in one row, and -2*x
+    and 3*x in rows with other nonzero entries, so it reads the walks of
+    the letters, which the letter row shares, at scales other than 1.  The
+    resolution stage's ranks of the letter row and M_l equal the unshared
+    reference degree by degree to 2m+2, and rank exactness holds."""
+    spec = dict(corpus_specs(corpus_entries))["skew:k=1:p=(2,3,1/3)"]
+    bound = 2 * spec.m + 2
+    D = gb(spec.D)
+    cert = stage_cert(spec, bound)
+    resolution_certificate(cert, spec, D)
+    (letters, shifts4), (Ml, shifts3), _ = resolution_maps(spec)[1]
+    profile = cert.diagnostics["rank_profile"]
+    assert [row["ranks"][0] for row in profile] == unshared_ranks(D, letters, shifts4, bound)
+    assert [row["ranks"][1] for row in profile] == unshared_ranks(D, Ml, shifts3, bound)
+    assert {c.name: c.passed for c in cert.checks}["rank_exactness"]
 
 
 @pytest.mark.parametrize("engine", ["la", "gb", "both"])
